@@ -37,6 +37,21 @@ parseU64Arg(const std::string &flag, const std::string &token)
     return static_cast<std::uint64_t>(v);
 }
 
+std::uint64_t
+parseEnvU64(const char *name, std::uint64_t fallback, std::uint64_t lo,
+            std::uint64_t hi)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    std::uint64_t v = parseU64Arg(name, env);
+    if (v < lo || v > hi)
+        fatal("option '%s': \"%s\" is out of range [%llu, %llu]", name,
+              env, static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi));
+    return v;
+}
+
 double
 parseDoubleArg(const std::string &flag, const std::string &token)
 {

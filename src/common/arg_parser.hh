@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,6 +34,24 @@ std::int64_t parseInt64Arg(const std::string &flag,
 /** As parseInt64Arg, additionally rejecting negative values. */
 std::uint64_t parseU64Arg(const std::string &flag,
                           const std::string &token);
+
+/**
+ * Checked unsigned FS_* environment knob: unset or empty yields
+ * `fallback`; any other value must parse as parseU64Arg() does and
+ * lie in [lo, hi], else fatal naming the variable.
+ */
+std::uint64_t parseEnvU64(const char *name, std::uint64_t fallback,
+                          std::uint64_t lo, std::uint64_t hi);
+
+/** parseEnvU64() bounded by T's range, so a value never silently
+ *  truncates into the field it is stored in. */
+template <typename T>
+T
+envKnob(const char *name, T fallback, T lo = 0)
+{
+    return static_cast<T>(parseEnvU64(name, fallback, lo,
+                                      std::numeric_limits<T>::max()));
+}
 
 /** Checked full-token double parser (rejects NaN/inf spellings
  *  only if malformed; accepts any finite decimal). */

@@ -164,17 +164,38 @@ FrameReader::next(std::string &out)
     return Status::Frame;
 }
 
-bool
-sendFrame(int fd, const std::string &payload)
+std::string
+encodeFrame(const std::string &payload)
 {
-    if (payload.size() > kMaxFrameBytes)
-        return false;
     std::string frame;
     frame.reserve(8 + payload.size());
     putLe32(frame, static_cast<std::uint32_t>(payload.size()));
     putLe32(frame, crc32(payload.data(), payload.size()));
     frame += payload;
+    return frame;
+}
+
+bool
+sendFrame(int fd, const std::string &payload)
+{
+    if (payload.size() > kMaxFrameBytes)
+        return false;
+    std::string frame = encodeFrame(payload);
     return writeAllFd(fd, frame.data(), frame.size());
+}
+
+bool
+recvInto(int fd, FrameReader &rd)
+{
+    char chunk[4096];
+    ssize_t n;
+    do {
+        n = ::read(fd, chunk, sizeof(chunk));
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0)
+        return false;
+    rd.feed(chunk, static_cast<std::size_t>(n));
+    return true;
 }
 
 int

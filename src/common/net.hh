@@ -1,11 +1,12 @@
 /**
  * @file
- * Minimal TCP socket + framing layer for the multi-host sweep farm.
+ * Minimal socket + framing layer for the sweep farms.
  *
- * The net executor (runner/net_executor.hh) moves procwire payloads
- * between a coordinator and remote agents over TCP. TCP is a byte
- * stream with no message boundaries and no integrity guarantee
- * beyond its own checksum, so every message travels as a *frame*:
+ * The lease engine (runner/lease_engine.hh) moves netwire messages
+ * over two kinds of byte stream: TCP to remote agents, and a pair
+ * of pipes to each local worker process. A stream has no message
+ * boundaries and no integrity guarantee beyond TCP's own checksum,
+ * so every message travels as a *frame*:
  *
  *     u32 length (LE) | u32 crc32(payload) (LE) | payload bytes
  *
@@ -82,9 +83,17 @@ class FrameReader
     bool corrupt_ = false;
 };
 
-/** Frame and send one payload; false on any send error (the
- *  connection is unusable — close it). EINTR/short-write safe. */
+/** The wire bytes of one frame carrying `payload`. */
+std::string encodeFrame(const std::string &payload);
+
+/** Frame and send one payload over a socket; false on any send
+ *  error (the connection is unusable — close it). EINTR/short-write
+ *  safe. Pipe writers frame with encodeFrame() and write(2). */
 bool sendFrame(int fd, const std::string &payload);
+
+/** One blocking read(2) from `fd` into `rd`; false on EOF or
+ *  error (the connection is gone). EINTR safe. */
+bool recvInto(int fd, FrameReader &rd);
 
 /**
  * Bind + listen on 127.0.0.1:`port` (0 picks an ephemeral port);

@@ -1,5 +1,6 @@
 #include "runner/cell_guard.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -65,13 +66,19 @@ guardNowNs()
             .count());
 }
 
+std::uint64_t
+backoffMs(std::uint64_t base_ms, unsigned k)
+{
+    if (base_ms == 0 || k == 0)
+        return 0;
+    return std::min<std::uint64_t>(base_ms << std::min(k - 1, 16u), 2000);
+}
+
 void
 backoffBeforeRetry(std::uint64_t base_ms, unsigned attempt)
 {
-    if (base_ms == 0)
-        return;
-    std::uint64_t ms = base_ms << (attempt - 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(backoffMs(base_ms, attempt)));
 }
 
 } // namespace detail

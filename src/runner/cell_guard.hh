@@ -12,7 +12,7 @@
  *    errors are never retried.
  *  - Failed after retries: a TransientError is retried up to
  *    cfg.maxAttempts times with exponential backoff
- *    (cfg.backoffBaseMs * 2^attempt); if every attempt fails the
+ *    (detail::backoffMs); if every attempt fails the
  *    last error is recorded with the attempt count.
  *  - TimedOut: the cooperative watchdog (FS_CELL_TIMEOUT_MS)
  *    expired — pollCancellation() threw CellTimeoutError somewhere
@@ -71,11 +71,11 @@ enum class ErrorClass
      *  corrupt identically. */
     Corruption,
     /** The worker process running the cell died hard (SIGSEGV, a
-     *  sanitizer abort, a nonzero exit mid-cell). Only observable
-     *  under the process executor (runner/proc_executor.hh); the
-     *  signal name travels in CellOutcome::crashSignal. Requeued on
-     *  a fresh worker up to the poison-cell threshold, then
-     *  quarantined. */
+     *  sanitizer abort, a nonzero exit mid-cell), or the connection
+     *  to the agent running it was lost. Only observable under the
+     *  lease engine (runner/lease_engine.hh); the reason travels in
+     *  CellOutcome::crashSignal. Requeued on a fresh slot up to the
+     *  poison-cell threshold, then quarantined. */
     Crash,
     /** The worker blew the FS_WORKER_HARD_TIMEOUT_MS wall-clock
      *  budget and was SIGKILLed — no cooperation required, unlike
@@ -109,7 +109,8 @@ struct CellGuardConfig
     /** Watchdog deadline per attempt in ms; 0 disables it. */
     std::uint64_t timeoutMs = 0;
 
-    /** Backoff before retry k is base * 2^(k-1) ms; 0 disables. */
+    /** Backoff before retry k is base * 2^(k-1) ms, capped at 2 s;
+     *  0 disables. */
     std::uint64_t backoffBaseMs = 5;
 
     /** timeoutMs from FS_CELL_TIMEOUT_MS, defaults elsewhere. */
@@ -128,8 +129,9 @@ struct CellOutcome
      *  first-divergence repro); empty for other failures. */
     std::string detail;
     /** Signal (or exit status) that killed the worker process, e.g.
-     *  "SIGSEGV" or "exit:1"; set only for ErrorClass::Crash under
-     *  the process executor. */
+     *  "SIGSEGV" or "exit:1", or how its slot was lost ("netdrop",
+     *  "farm-stalled", ...); set only for ErrorClass::Crash under
+     *  the lease engine. */
     std::string crashSignal;
     unsigned attempts = 0;      ///< attempts actually made
     std::uint64_t wallNs = 0;   ///< wall time across all attempts
@@ -137,6 +139,26 @@ struct CellOutcome
 
     bool ok() const { return status == CellStatus::Ok; }
 };
+
+/** `o` with its value, if any, replaced by `f(value)`: how outcomes
+ *  cross the farm wire (encode) and come back (decode). */
+template <typename To, typename From, typename F>
+CellOutcome<To>
+withValue(CellOutcome<From> &&o, F &&f)
+{
+    CellOutcome<To> w;
+    w.status = o.status;
+    w.errorClass = o.errorClass;
+    w.error = std::move(o.error);
+    w.detail = std::move(o.detail);
+    w.crashSignal = std::move(o.crashSignal);
+    w.attempts = o.attempts;
+    w.wallNs = o.wallNs;
+    w.restored = o.restored;
+    if (o.value.has_value())
+        w.value.emplace(f(*o.value));
+    return w;
+}
 
 /** failureLabel() from an outcome's class + crash signal. */
 template <typename R>
@@ -152,7 +174,12 @@ namespace detail
 /** steady-clock ns (runner-side; not for simulation results). */
 std::uint64_t guardNowNs();
 
-/** Sleep base * 2^(attempt-1) ms before retry `attempt`. */
+/** The backoff before the k-th retry (or reopen after the k-th
+ *  consecutive loss): base * 2^(k-1) ms, capped at 2 s; 0 when
+ *  base or k is 0. The cell guard and the lease engine share it. */
+std::uint64_t backoffMs(std::uint64_t base_ms, unsigned k);
+
+/** Sleep backoffMs(base_ms, attempt) before retry `attempt`. */
 void backoffBeforeRetry(std::uint64_t base_ms, unsigned attempt);
 
 } // namespace detail

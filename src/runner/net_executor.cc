@@ -2,82 +2,25 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <set>
+#include <vector>
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/log.hh"
+#include "common/net.hh"
 #include "runner/checkpoint.hh"
+#include "runner/lease_engine.hh"
 #include "runner/proc_executor.hh"
 
 namespace fscache
 {
-
-namespace
-{
-
-std::uint64_t
-steadyNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("%s must be a non-negative integer, got \"%s\"", name,
-              env);
-    return static_cast<std::uint64_t>(v);
-}
-
-} // namespace
-
-NetExecutorConfig
-NetExecutorConfig::fromEnv()
-{
-    NetExecutorConfig cfg;
-    const char *hosts = std::getenv("FS_HOSTS");
-    if (hosts == nullptr || *hosts == '\0')
-        fatal("FS_EXECUTOR=net needs FS_HOSTS=host:port,...");
-    if (!parseHostList(hosts, cfg.hosts))
-        fatal("FS_HOSTS \"%s\" is not a host:port,... list", hosts);
-    cfg.hostTimeoutMs = envU64("FS_HOST_TIMEOUT_MS", 10000);
-    if (cfg.hostTimeoutMs == 0)
-        fatal("FS_HOST_TIMEOUT_MS=0 would declare every host dead "
-              "instantly");
-    cfg.leaseWindow = static_cast<unsigned>(
-        envU64("FS_LEASE_WINDOW", 2));
-    if (cfg.leaseWindow == 0)
-        fatal("FS_LEASE_WINDOW=0 would never lease a cell");
-    cfg.leaseTimeoutMs = envU64("FS_LEASE_TIMEOUT_MS", 0);
-    cfg.poisonKills = static_cast<unsigned>(
-        envU64("FS_POISON_KILLS", 2));
-    if (cfg.poisonKills == 0)
-        fatal("FS_POISON_KILLS=0 would retry a poison cell forever");
-    cfg.backoffMs = envU64("FS_WORKER_BACKOFF_MS", 25);
-    cfg.connectTimeoutMs = envU64("FS_CONNECT_TIMEOUT_MS", 1000);
-    if (cfg.connectTimeoutMs == 0)
-        fatal("FS_CONNECT_TIMEOUT_MS=0 cannot connect to anything");
-    return cfg;
-}
 
 namespace netwire
 {
@@ -85,18 +28,19 @@ namespace netwire
 namespace
 {
 
-std::string
-encodeHeader(Type t)
+CellEncoder
+header(Type t)
 {
     CellEncoder enc;
     enc.u64(kVersion).u64(static_cast<std::uint64_t>(t));
-    return enc.result();
+    return enc;
 }
 
-/** Decode and validate the (version, type) prefix. */
-Type
-decodePrefix(CellDecoder &dec)
+/** A decoder positioned after the (version, type) prefix. */
+CellDecoder
+body(const std::string &msg, Type &type)
 {
+    CellDecoder dec(msg);
     std::uint64_t version = dec.u64();
     if (version != kVersion)
         throw FsError(strprintf(
@@ -108,14 +52,25 @@ decodePrefix(CellDecoder &dec)
     if (t < static_cast<std::uint64_t>(Type::Hello) ||
         t > static_cast<std::uint64_t>(Type::Release))
         throw FsError("net farm message: bad type");
-    return static_cast<Type>(t);
+    type = static_cast<Type>(t);
+    return dec;
+}
+
+CellDecoder
+body(const std::string &msg, Type want, const char *what)
+{
+    Type got;
+    CellDecoder dec = body(msg, got);
+    if (got != want)
+        throw FsError(strprintf("net farm message: wanted %s", what));
+    return dec;
 }
 
 void
-expectType(Type got, Type want, const char *what)
+finish(const CellDecoder &dec, const char *what)
 {
-    if (got != want)
-        throw FsError(strprintf("net farm message: wanted %s",
+    if (!dec.done())
+        throw FsError(strprintf("net farm %s has trailing tokens",
                                 what));
 }
 
@@ -124,242 +79,123 @@ expectType(Type got, Type want, const char *what)
 std::string
 encodeHello(std::uint64_t fingerprint, std::size_t cells)
 {
-    CellEncoder enc;
-    enc.u64(kVersion)
-        .u64(static_cast<std::uint64_t>(Type::Hello))
-        .u64(fingerprint)
-        .u64(cells);
-    return enc.result();
+    return header(Type::Hello).u64(fingerprint).u64(cells).result();
 }
 
 std::string
 encodeLease(std::size_t cell)
 {
-    CellEncoder enc;
-    enc.u64(kVersion)
-        .u64(static_cast<std::uint64_t>(Type::Lease))
-        .u64(cell);
-    return enc.result();
+    return header(Type::Lease).u64(cell).result();
 }
 
 std::string
 encodeResult(const std::string &procwire_line)
 {
-    CellEncoder enc;
-    enc.u64(kVersion)
-        .u64(static_cast<std::uint64_t>(Type::Result))
-        .str(procwire_line);
-    return enc.result();
+    return header(Type::Result).str(procwire_line).result();
 }
 
 std::string
 encodePing()
 {
-    return encodeHeader(Type::Ping);
+    return header(Type::Ping).result();
 }
 
 std::string
 encodePong()
 {
-    return encodeHeader(Type::Pong);
+    return header(Type::Pong).result();
 }
 
 std::string
 encodeRelease()
 {
-    return encodeHeader(Type::Release);
+    return header(Type::Release).result();
 }
 
 Type
 decodeType(const std::string &msg)
 {
-    CellDecoder dec(msg);
-    return decodePrefix(dec);
+    Type t;
+    body(msg, t);
+    return t;
 }
 
 void
 decodeHello(const std::string &msg, std::uint64_t &fingerprint,
             std::size_t &cells)
 {
-    CellDecoder dec(msg);
-    expectType(decodePrefix(dec), Type::Hello, "HELLO");
+    CellDecoder dec = body(msg, Type::Hello, "HELLO");
     fingerprint = dec.u64();
     cells = static_cast<std::size_t>(dec.u64());
-    if (!dec.done())
-        throw FsError("net farm HELLO has trailing tokens");
+    finish(dec, "HELLO");
 }
 
 void
 decodeLease(const std::string &msg, std::size_t &cell)
 {
-    CellDecoder dec(msg);
-    expectType(decodePrefix(dec), Type::Lease, "LEASE");
+    CellDecoder dec = body(msg, Type::Lease, "LEASE");
     cell = static_cast<std::size_t>(dec.u64());
-    if (!dec.done())
-        throw FsError("net farm LEASE has trailing tokens");
+    finish(dec, "LEASE");
 }
 
 void
 decodeResult(const std::string &msg, std::string &procwire_line)
 {
-    CellDecoder dec(msg);
-    expectType(decodePrefix(dec), Type::Result, "RESULT");
+    CellDecoder dec = body(msg, Type::Result, "RESULT");
     procwire_line = dec.str();
-    if (!dec.done())
-        throw FsError("net farm RESULT has trailing tokens");
+    finish(dec, "RESULT");
 }
 
 } // namespace netwire
 
-// ---------------------------------------------------------------
-// Agent
-// ---------------------------------------------------------------
-
 namespace
 {
 
-/** Synthetic outcome for leases the agent's own farm cannot run
- *  anymore (its workers keep dying). Forwarded like any result, so
- *  the coordinator records it as final instead of requeueing. */
-CellOutcome<std::string>
-agentFarmStalledOutcome()
+/** One TCP connection per FS_HOSTS agent; see makeTcpSlots(). */
+class TcpSlots final : public FdSlots
 {
-    CellOutcome<std::string> o;
-    o.status = CellStatus::Failed;
-    o.errorClass = ErrorClass::Crash;
-    o.crashSignal = "farm-stalled";
-    o.error = "agent process farm stalled: workers died "
-              "repeatedly with no completed cell";
-    o.attempts = 1;
-    return o;
-}
-
-/**
- * Serve one coordinator connection. Returns true when the
- * coordinator sent RELEASE (the agent should exit), false when the
- * connection dropped (back to accept()). The farm outlives the
- * connection: results for leases of a previous connection are
- * discarded as stale, and a re-leased cell simply computes again —
- * deterministically, so duplicated work is waste, never skew.
- */
-bool
-serveConnection(int conn, std::uint64_t fingerprint,
-                std::size_t cells, ProcFarm &farm)
-{
-    if (!sendFrame(conn, netwire::encodeHello(fingerprint, cells)))
-        return false;
-
-    FrameReader rd;
-    std::set<std::size_t> active;
-    ProcFarm::Done done;
-    std::string msg;
-    while (true) {
-        // Wait on the socket only while the farm is idle; with
-        // cells in flight, keep the latency on both sides low.
-        pollfd pfd{conn, POLLIN, 0};
-        int nready = ::poll(&pfd, 1, farm.idle() ? 50 : 0);
-        if (nready < 0 && errno != EINTR)
-            return false;
-        if (nready > 0 && pfd.revents != 0) {
-            char chunk[4096];
-            ssize_t n;
-            do {
-                n = ::recv(conn, chunk, sizeof(chunk), 0);
-            } while (n < 0 && errno == EINTR);
-            if (n <= 0)
-                return false; // coordinator gone
-            rd.feed(chunk, static_cast<std::size_t>(n));
-        }
-        while (true) {
-            FrameReader::Status st = rd.next(msg);
-            if (st == FrameReader::Status::NeedMore)
-                break;
-            if (st == FrameReader::Status::Corrupt) {
-                warn("fs-agent: corrupt frame from coordinator; "
-                     "dropping connection");
-                return false;
-            }
-            netwire::Type type;
-            std::size_t cell = 0;
-            try {
-                type = netwire::decodeType(msg);
-                if (type == netwire::Type::Lease)
-                    netwire::decodeLease(msg, cell);
-            } catch (const std::exception &e) {
-                warn("fs-agent: malformed message (%s); dropping "
-                     "connection", e.what());
-                return false;
-            }
-            switch (type) {
-              case netwire::Type::Lease: {
-                if (cell >= cells) {
-                    warn("fs-agent: lease for cell %zu out of "
-                         "range (%zu cells); dropping connection",
-                         cell, cells);
-                    return false;
-                }
-                FaultInjector::NetFault f =
-                    FaultInjector::netFaultForCell(cell);
-                if (f == FaultInjector::NetFault::Drop)
-                    // Injected mid-cell connection loss: the
-                    // coordinator must requeue this lease.
-                    return false;
-                if (f == FaultInjector::NetFault::Stall)
-                    // Injected stall: accept the lease, keep
-                    // heartbeating, never answer.
-                    break;
-                if (farm.stalled()) {
-                    if (!sendFrame(
-                            conn,
-                            netwire::encodeResult(
-                                procwire::encodeResult(
-                                    cell,
-                                    agentFarmStalledOutcome()))))
-                        return false;
-                    break;
-                }
-                farm.submit(cell);
-                active.insert(cell);
-                break;
-              }
-              case netwire::Type::Ping:
-                if (!sendFrame(conn, netwire::encodePong()))
-                    return false;
-                break;
-              case netwire::Type::Release:
-                return true;
-              default:
-                warn("fs-agent: unexpected message type; dropping "
-                     "connection");
-                return false;
-            }
-        }
-
-        done.clear();
-        farm.poll(farm.idle() ? 0 : 10, done);
-        for (auto &[done_cell, outcome] : done) {
-            if (active.erase(done_cell) == 0)
-                continue; // stale result from a dropped connection
-            if (!sendFrame(conn,
-                           netwire::encodeResult(
-                               procwire::encodeResult(done_cell,
-                                                      outcome))))
-                return false;
-        }
-        if (farm.stalled() && !active.empty()) {
-            for (std::size_t c : active)
-                if (!sendFrame(
-                        conn,
-                        netwire::encodeResult(
-                            procwire::encodeResult(
-                                c, agentFarmStalledOutcome()))))
-                    return false;
-            active.clear();
-        }
+  public:
+    explicit TcpSlots(const LeaseConfig &cfg)
+        : FdSlots(cfg.hosts.size()), hosts_(cfg.hosts),
+          connectTimeoutMs_(cfg.connectTimeoutMs)
+    {
     }
-}
+
+    bool
+    open(std::size_t s) override
+    {
+        fds_[s] = connectTcp(hosts_[s].host, hosts_[s].port,
+                             connectTimeoutMs_);
+        return fds_[s] >= 0;
+    }
+
+    std::string
+    close(std::size_t s, std::uint64_t) override
+    {
+        ::close(fds_[s]);
+        fds_[s] = -1;
+        return ""; // the engine knows why it hung up
+    }
+
+    std::string
+    name(std::size_t s) const override
+    {
+        return strprintf("host %s:%u", hosts_[s].host.c_str(),
+                         static_cast<unsigned>(hosts_[s].port));
+    }
+
+  private:
+    std::vector<HostAddr> hosts_;
+    std::uint64_t connectTimeoutMs_;
+};
 
 } // namespace
+
+std::unique_ptr<SlotTransport>
+makeTcpSlots(const LeaseConfig &cfg)
+{
+    return std::make_unique<TcpSlots>(cfg);
+}
 
 void
 serveCellsAsAgent(std::size_t cells, std::uint64_t fingerprint)
@@ -387,430 +223,107 @@ serveCellsAsAgent(std::size_t cells, std::uint64_t fingerprint)
                   "\"%s\"", port_file);
     }
 
+    const LeaseConfig cfg = LeaseConfig::fromEnv(ExecutorKind::Process);
+    std::unique_ptr<SlotTransport> workers = makeLocalSlots(
+        fingerprint, std::min<std::size_t>(cfg.workers, cells));
     {
-        ProcFarm farm(fingerprint, ProcExecutorConfig::fromEnv(),
-                      cells);
-        while (true) {
-            int conn = acceptConn(listen_fd);
-            if (conn < 0)
-                fatal("fs-agent: accept failed: %s",
-                      std::strerror(errno));
-            bool released =
-                serveConnection(conn, fingerprint, cells, farm);
+        LeaseEngine engine(*workers, cfg, fingerprint);
+        LeaseEngine::Done done;
+        int conn = -1;
+        FrameReader rd;
+        // Leases of the current connection. The engine outlives a
+        // dropped coordinator: results for an earlier connection's
+        // leases are stale and dropped, and a re-leased cell simply
+        // computes again — deterministically, so duplicated work is
+        // waste, never skew.
+        std::set<std::size_t> active;
+        auto drop = [&] {
             ::close(conn);
-            if (released)
-                break;
-            // Coordinator dropped (crash, netdrop, new run): keep
-            // the farm warm and wait for the next connection.
-        }
-        ::close(listen_fd);
-    } // ~ProcFarm: orderly worker shutdown before exiting
-    std::_Exit(0);
-}
+            conn = -1;
+            active.clear();
+        };
+        auto reply = [&](const std::string &msg) {
+            if (conn >= 0 && !sendFrame(conn, msg))
+                drop();
+        };
+        bool released = false;
+        while (!released) {
+            for (auto &[cell, o] : done)
+                if (active.erase(cell) != 0)
+                    reply(netwire::encodeResult(
+                        procwire::encodeResult(cell, o)));
+            done.clear();
 
-// ---------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------
-
-namespace
-{
-
-/** One leased cell on one host. */
-struct NetLease
-{
-    std::size_t cell = 0;
-    std::uint64_t deadlineNs = 0; ///< stall deadline; 0 = none
-};
-
-/** One FS_HOSTS endpoint as the coordinator sees it. */
-struct NetHost
-{
-    HostAddr addr;
-    enum class State
-    {
-        Backoff,    ///< disconnected; retry at retryAtNs
-        AwaitHello, ///< connected; fingerprint unverified
-        Ready,      ///< leasable
-        Dead,       ///< abandoned for this sweep
-    } state = State::Backoff;
-    int fd = -1;
-    FrameReader rd;
-    std::deque<NetLease> leases;
-    std::uint64_t lastRecvNs = 0;
-    std::uint64_t lastPingNs = 0;
-    std::uint64_t retryAtNs = 0;
-    unsigned consecutiveFailures = 0;
-
-    std::string
-    name() const
-    {
-        return strprintf("%s:%u", addr.host.c_str(),
-                         static_cast<unsigned>(addr.port));
-    }
-};
-
-} // namespace
-
-NetFarmResult
-runNetFarm(const std::vector<std::size_t> &missing,
-           std::uint64_t fingerprint, const NetExecutorConfig &cfg,
-           const std::function<void(std::size_t,
-                                    const std::string &)>
-               &on_payload)
-{
-    NetFarmResult res;
-    if (missing.empty())
-        return res;
-
-    std::deque<std::size_t> pending(missing.begin(), missing.end());
-    std::map<std::size_t, unsigned> kills;
-    std::vector<NetHost> hosts(cfg.hosts.size());
-    for (std::size_t i = 0; i < cfg.hosts.size(); ++i)
-        hosts[i].addr = cfg.hosts[i];
-
-    // A host that fails this many times in a row (connect failures
-    // and kills both count; any completed cell resets) is abandoned
-    // rather than retried forever.
-    constexpr unsigned kHostFailCap = 5;
-    const std::uint64_t ping_interval_ns =
-        std::max<std::uint64_t>(cfg.hostTimeoutMs / 3, 1) *
-        1000000ull;
-    const std::uint64_t host_timeout_ns =
-        cfg.hostTimeoutMs * 1000000ull;
-
-    auto backoff_ns = [&](unsigned failures) -> std::uint64_t {
-        if (cfg.backoffMs == 0)
-            return 0;
-        unsigned shift = std::min(failures > 0 ? failures - 1 : 0u,
-                                  16u);
-        std::uint64_t delay_ms = std::min<std::uint64_t>(
-            cfg.backoffMs << shift, 2000);
-        return delay_ms * 1000000ull;
-    };
-
-    // A kill mark against `cell`, blamed on connection-level loss
-    // (`why` = netdrop | host-timeout | stall): requeue until the
-    // poison threshold, then quarantine exactly like the local
-    // farm.
-    auto kill_cell = [&](std::size_t cell, const char *why,
-                         const std::string &host) {
-        unsigned k = ++kills[cell];
-        if (k < cfg.poisonKills) {
-            // Front of the queue: resolve the suspect cell first,
-            // like the process farm's requeue.
-            pending.push_front(cell);
-            return;
-        }
-        CellOutcome<std::string> o;
-        o.status = CellStatus::Failed;
-        o.errorClass = ErrorClass::Crash;
-        o.crashSignal = why;
-        o.error = strprintf(
-            "host %s lost (%s) running cell %zu%s", host.c_str(),
-            why, cell,
-            k > 1 ? "; poison cell quarantined" : "");
-        o.attempts = k;
-        res.done[cell] = std::move(o);
-    };
-
-    auto abandon = [&](NetHost &h, const std::string &why) {
-        warn("net farm: abandoning host %s (%s)",
-             h.name().c_str(), why.c_str());
-        h.state = NetHost::State::Dead;
-    };
-
-    // Connection-level host failure: requeue/quarantine its
-    // leases, close, and either back off or abandon.
-    auto kill_host = [&](NetHost &h, const char *why,
-                         bool incompatible) {
-        if (h.fd >= 0) {
-            ::close(h.fd);
-            h.fd = -1;
-        }
-        h.rd = FrameReader{};
-        for (const NetLease &l : h.leases)
-            kill_cell(l.cell, why, h.name());
-        h.leases.clear();
-        ++h.consecutiveFailures;
-        if (incompatible) {
-            abandon(h, "incompatible sweep or protocol");
-            return;
-        }
-        if (h.consecutiveFailures >= kHostFailCap) {
-            abandon(h, strprintf("%u consecutive failures, last: "
-                                 "%s", h.consecutiveFailures, why));
-            return;
-        }
-        h.state = NetHost::State::Backoff;
-        h.retryAtNs =
-            steadyNowNs() + backoff_ns(h.consecutiveFailures);
-    };
-
-    // One received message on a Ready/AwaitHello host. Returns
-    // false when the host must be killed (caller passes `why`).
-    auto handle_msg = [&](NetHost &h, const std::string &msg,
-                          bool &incompatible) -> bool {
-        incompatible = false;
-        netwire::Type type;
-        try {
-            type = netwire::decodeType(msg);
-        } catch (const std::exception &e) {
-            warn("net farm: malformed message from %s: %s",
-                 h.name().c_str(), e.what());
-            incompatible = true; // foreign protocol: do not retry
-            return false;
-        }
-        if (h.state == NetHost::State::AwaitHello) {
-            if (type != netwire::Type::Hello) {
-                warn("net farm: %s spoke before HELLO",
-                     h.name().c_str());
-                return false;
-            }
-            std::uint64_t fp = 0;
-            std::size_t cells = 0;
-            try {
-                netwire::decodeHello(msg, fp, cells);
-            } catch (const std::exception &e) {
-                warn("net farm: bad HELLO from %s: %s",
-                     h.name().c_str(), e.what());
-                incompatible = true;
-                return false;
-            }
-            if (fp != fingerprint) {
-                warn("net farm: host %s serves sweep %016llx, "
-                     "want %016llx (config skew?)",
-                     h.name().c_str(),
-                     static_cast<unsigned long long>(fp),
-                     static_cast<unsigned long long>(fingerprint));
-                incompatible = true;
-                return false;
-            }
-            h.state = NetHost::State::Ready;
-            return true;
-        }
-        switch (type) {
-          case netwire::Type::Pong:
-            return true; // lastRecvNs already refreshed
-          case netwire::Type::Result: {
-            std::string line;
-            std::size_t cell = 0;
-            CellOutcome<std::string> o;
-            try {
-                netwire::decodeResult(msg, line);
-                procwire::decodeResult(line, cell, o);
-            } catch (const std::exception &e) {
-                warn("net farm: undecodable result from %s: %s",
-                     h.name().c_str(), e.what());
-                return false;
-            }
-            auto it = std::find_if(
-                h.leases.begin(), h.leases.end(),
-                [cell](const NetLease &l) {
-                    return l.cell == cell;
-                });
-            if (it == h.leases.end()) {
-                warn("net farm: %s answered unleased cell %zu; "
-                     "dropping", h.name().c_str(), cell);
-                return true;
-            }
-            h.leases.erase(it);
-            h.consecutiveFailures = 0; // progress
-            if (o.ok() && on_payload)
-                on_payload(cell, *o.value);
-            res.done[cell] = std::move(o);
-            return true;
-          }
-          default:
-            warn("net farm: unexpected message type from %s",
-                 h.name().c_str());
-            return false;
-        }
-    };
-
-    while (res.done.size() < missing.size()) {
-        bool any_alive = false;
-        for (const NetHost &h : hosts)
-            if (h.state != NetHost::State::Dead)
-                any_alive = true;
-        if (!any_alive)
-            break; // degraded: the caller finishes locally
-
-        std::uint64_t now = steadyNowNs();
-
-        // Reconnect pass.
-        for (NetHost &h : hosts) {
-            if (h.state != NetHost::State::Backoff ||
-                h.retryAtNs > now)
+            std::vector<pollfd> extra{
+                {conn >= 0 ? conn : listen_fd, POLLIN, 0}};
+            engine.step(-1, extra, done);
+            if (extra[0].revents == 0)
                 continue;
-            int fd = connectTcp(h.addr.host, h.addr.port,
-                                cfg.connectTimeoutMs);
-            if (fd < 0) {
-                ++h.consecutiveFailures;
-                if (h.consecutiveFailures >= kHostFailCap) {
-                    abandon(h, strprintf(
-                                   "%u consecutive failures, "
-                                   "last: unreachable",
-                                   h.consecutiveFailures));
-                    continue;
-                }
-                h.retryAtNs =
-                    now + backoff_ns(h.consecutiveFailures);
+            if (conn < 0) {
+                conn = acceptConn(listen_fd);
+                if (conn < 0)
+                    fatal("fs-agent: accept failed: %s",
+                          std::strerror(errno));
+                rd = FrameReader{};
+                reply(netwire::encodeHello(fingerprint, cells));
                 continue;
             }
-            h.fd = fd;
-            h.rd = FrameReader{};
-            h.state = NetHost::State::AwaitHello;
-            h.lastRecvNs = now;
-            h.lastPingNs = now;
-        }
-
-        // Lease pass.
-        for (NetHost &h : hosts) {
-            if (h.state != NetHost::State::Ready)
-                continue;
-            while (h.leases.size() < cfg.leaseWindow &&
-                   !pending.empty()) {
-                std::size_t cell = pending.front();
-                if (!sendFrame(h.fd,
-                               netwire::encodeLease(cell))) {
-                    kill_host(h, "netdrop", false);
-                    break;
-                }
-                pending.pop_front();
-                NetLease l;
-                l.cell = cell;
-                l.deadlineNs =
-                    cfg.leaseTimeoutMs > 0
-                        ? now + cfg.leaseTimeoutMs * 1000000ull
-                        : 0;
-                h.leases.push_back(l);
-            }
-        }
-
-        // Heartbeat + timeout pass.
-        for (NetHost &h : hosts) {
-            if (h.state != NetHost::State::Ready &&
-                h.state != NetHost::State::AwaitHello)
-                continue;
-            if (now - h.lastRecvNs >= host_timeout_ns) {
-                kill_host(h, "host-timeout", false);
+            if (!recvInto(conn, rd)) {
+                drop(); // coordinator gone: back to accepting
                 continue;
             }
-            bool stalled_lease = false;
-            for (const NetLease &l : h.leases)
-                if (l.deadlineNs != 0 && now >= l.deadlineNs)
-                    stalled_lease = true;
-            if (stalled_lease) {
-                // The host heartbeats but a lease blew its budget:
-                // a stalled remote cell. Drop the connection; the
-                // stalled cell gets its kill mark with the rest.
-                kill_host(h, "stall", false);
-                continue;
-            }
-            if (h.state == NetHost::State::Ready &&
-                now - h.lastPingNs >= ping_interval_ns) {
-                if (!sendFrame(h.fd, netwire::encodePing())) {
-                    kill_host(h, "netdrop", false);
-                    continue;
-                }
-                h.lastPingNs = now;
-            }
-        }
-
-        // Wait for traffic (or the next retry/deadline).
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fd_host;
-        for (std::size_t i = 0; i < hosts.size(); ++i) {
-            if (hosts[i].fd < 0)
-                continue;
-            fds.push_back({hosts[i].fd, POLLIN, 0});
-            fd_host.push_back(i);
-        }
-        if (fds.empty()) {
-            // Everyone disconnected; sleep until the earliest
-            // retry.
-            std::uint64_t wake = 0;
-            for (const NetHost &h : hosts)
-                if (h.state == NetHost::State::Backoff &&
-                    (wake == 0 || h.retryAtNs < wake))
-                    wake = h.retryAtNs;
-            if (wake > now) {
-                std::uint64_t ms = (wake - now) / 1000000ull + 1;
-                int rc = ::poll(nullptr, 0,
-                                static_cast<int>(
-                                    std::min<std::uint64_t>(ms,
-                                                            200)));
-                (void)rc; // pure sleep; EINTR just retries sooner
-            }
-            continue;
-        }
-        int nready;
-        do {
-            nready = ::poll(fds.data(),
-                            static_cast<nfds_t>(fds.size()), 50);
-        } while (nready < 0 && errno == EINTR);
-        if (nready <= 0)
-            continue;
-
-        now = steadyNowNs();
-        for (std::size_t f = 0; f < fds.size(); ++f) {
-            if (fds[f].revents == 0)
-                continue;
-            NetHost &h = hosts[fd_host[f]];
-            if (h.fd < 0)
-                continue;
-            char chunk[4096];
-            ssize_t n;
-            do {
-                n = ::recv(h.fd, chunk, sizeof(chunk), 0);
-            } while (n < 0 && errno == EINTR);
-            if (n <= 0) {
-                kill_host(h, "netdrop", false);
-                continue;
-            }
-            h.lastRecvNs = now;
-            h.rd.feed(chunk, static_cast<std::size_t>(n));
             std::string msg;
-            bool dead = false;
-            while (!dead) {
-                FrameReader::Status st = h.rd.next(msg);
-                if (st == FrameReader::Status::NeedMore)
-                    break;
-                if (st == FrameReader::Status::Corrupt) {
-                    warn("net farm: corrupt frame from %s",
-                         h.name().c_str());
-                    kill_host(h, "netdrop", false);
-                    dead = true;
+            FrameReader::Status st = FrameReader::Status::NeedMore;
+            while (conn >= 0 && !released &&
+                   (st = rd.next(msg)) == FrameReader::Status::Frame) {
+                std::size_t cell = 0;
+                netwire::Type type;
+                try {
+                    type = netwire::decodeType(msg);
+                    if (type == netwire::Type::Lease) {
+                        netwire::decodeLease(msg, cell);
+                        if (cell >= cells)
+                            throw FsError(strprintf(
+                                "lease for cell %zu out of range",
+                                cell));
+                    } else if (type != netwire::Type::Ping &&
+                               type != netwire::Type::Release) {
+                        throw FsError("unexpected message type");
+                    }
+                } catch (const std::exception &e) {
+                    warn("fs-agent: %s; dropping connection",
+                         e.what());
+                    drop();
                     break;
                 }
-                bool incompatible = false;
-                if (!handle_msg(h, msg, incompatible)) {
-                    kill_host(h, "netdrop", incompatible);
-                    dead = true;
+                if (type == netwire::Type::Release) {
+                    released = true;
+                } else if (type == netwire::Type::Ping) {
+                    reply(netwire::encodePong());
+                } else {
+                    FaultInjector::NetFault f =
+                        FaultInjector::netFaultForCell(cell);
+                    if (f == FaultInjector::NetFault::Drop)
+                        drop(); // injected mid-cell connection loss
+                    else if (f != FaultInjector::NetFault::Stall) {
+                        // (an injected stall swallows the lease and
+                        // keeps heartbeating)
+                        engine.submit(cell);
+                        active.insert(cell);
+                    }
                 }
             }
+            if (conn >= 0 && !released &&
+                st == FrameReader::Status::Corrupt) {
+                warn("fs-agent: corrupt frame from coordinator; "
+                     "dropping connection");
+                drop();
+            }
         }
-    }
-
-    // Orderly shutdown: RELEASE every live agent (best-effort; a
-    // failed send just means the host is already gone).
-    for (NetHost &h : hosts) {
-        if (h.fd < 0)
-            continue;
-        if (!sendFrame(h.fd, netwire::encodeRelease()))
-            warn("net farm: could not release host %s",
-                 h.name().c_str());
-        ::close(h.fd);
-        h.fd = -1;
-    }
-
-    if (res.done.size() < missing.size()) {
-        res.degraded = true;
-        warn("net farm: all %zu hosts unreachable or abandoned; "
-             "finishing %zu remaining cells on the local executor",
-             hosts.size(), missing.size() - res.done.size());
-    }
-    return res;
+        ::close(conn);
+    } // ~LeaseEngine: orderly worker shutdown before exiting
+    ::close(listen_fd);
+    std::_Exit(0);
 }
 
 } // namespace fscache

@@ -1,55 +1,41 @@
 /**
  * @file
- * Multi-host sweep farm: TCP dispatch of checkpointed sweep cells
- * to remote agents, with the full robustness taxonomy end to end.
+ * Multi-host sweep farm: the netwire protocol every farm slot
+ * speaks, the TCP slots of FS_EXECUTOR=net, and the --fs-agent that
+ * serves them.
  *
- * The process executor (runner/proc_executor.hh) contains crashes
- * on one machine; FS_EXECUTOR=net extends the same contract across
- * hosts. The pieces:
+ * FS_EXECUTOR=net extends the process farm's contract across hosts.
+ * Both are compositions of the lease engine (runner/lease_engine.hh):
  *
- *  - **Agents** are the driver binary re-exec'd with a hidden
- *    `--fs-agent=<port>` flag (port 0 = ephemeral; the bound port
- *    is announced on stderr and, when FS_AGENT_PORT_FILE is set,
- *    written there for scripts). An agent runs the identical driver
- *    main() up to its mapResilientCheckpointed() call, then serves
- *    that sweep: it listens on loopback, greets each coordinator
- *    with a HELLO carrying the sweep fingerprint, and executes
- *    leased cells on its own local *process* farm (ProcFarm), so a
- *    SIGSEGV on a remote host kills one worker there, not the
- *    agent — the resulting FAILED(crash:SIGSEGV) travels back like
- *    any other outcome.
- *  - **The coordinator** (the driver run with FS_EXECUTOR=net)
- *    connects to every FS_HOSTS=host:port,... agent, leases cells
- *    with a bounded in-flight window per host, heartbeats
- *    (PING/PONG) to detect silently dead hosts after
- *    FS_HOST_TIMEOUT_MS, reconnects with exponential backoff, and
- *    merges results **in cell order** so a clean net run is
- *    byte-identical to FS_EXECUTOR=thread (golden-pinned).
- *  - **Framing**: every message is a procwire v2 line inside a
+ *  - **The coordinator** (the driver run with FS_EXECUTOR=net) is
+ *    the engine over TCP slots, one per FS_HOSTS=host:port agent:
+ *    leases go out in a window of FS_LEASE_WINDOW per host, PINGs
+ *    detect silently dead hosts after FS_HOST_TIMEOUT_MS, lost hosts
+ *    reconnect with backoff, and results merge **in cell order**, so
+ *    a clean net run is byte-identical to FS_EXECUTOR=thread
+ *    (golden-pinned). When every host is abandoned, the caller
+ *    (SweepRunner::mapResilientCheckpointed) warns once and finishes
+ *    the remaining cells on the local executor; the sweep still
+ *    exits 0.
+ *  - **An agent** is the driver binary re-exec'd with a hidden
+ *    `--fs-agent=<port>` flag (port 0 = ephemeral; the bound port is
+ *    announced on stderr and, when FS_AGENT_PORT_FILE is set,
+ *    written there for scripts). It runs main() up to its
+ *    mapResilientCheckpointed() call, then serves that sweep: an
+ *    accept loop plus the same engine over local worker slots, with
+ *    the coordinator socket and every worker in one poll set. A
+ *    SIGSEGV on a remote host kills one worker there, and the
+ *    resulting FAILED(crash:SIGSEGV) travels back like any other
+ *    outcome. Failures the agent *reports* are final at the
+ *    coordinator, never requeued.
+ *  - **Framing**: every message is a netwire v2 line inside a
  *    length+CRC32 frame (common/net.hh). A corrupt frame drops the
- *    connection and the host's leases requeue — same path as a
- *    host crash, no resynchronization heroics.
- *  - **Failure taxonomy** (docs/ROBUSTNESS.md §Multi-host): a lost
- *    connection kill-marks the host's in-flight cells as
- *    "netdrop"; a host silent past FS_HOST_TIMEOUT_MS is killed as
- *    "host-timeout"; a lease unanswered past FS_LEASE_TIMEOUT_MS
- *    (while the host still heartbeats) is killed as "stall". Each
- *    kill requeues the cell until it has accumulated
- *    FS_POISON_KILLS kill marks, then quarantines it as
- *    FAILED(crash:netdrop|host-timeout|stall). Agent-*reported*
- *    failures (crash, hard-timeout, thrown errors on the remote
- *    farm) are final: they are forwarded verbatim, never requeued
- *    here.
- *  - **Graceful degradation**: when every host is unreachable at
- *    startup or all die mid-run, runNetFarm() returns what it has;
- *    the caller (SweepRunner::mapResilientCheckpointed) warns once
- *    and finishes the remaining cells on the local executor, so
- *    the sweep still exits 0 with byte-identical results.
+ *    connection and the host's leases requeue, the same path as a
+ *    host crash.
  *
  * Results journal exactly as in process mode: the coordinator
- * records each wire payload verbatim, so a journal written under
- * FS_EXECUTOR=net resumes under thread/process mode and vice
- * versa.
+ * records each wire payload verbatim, so journals resume across
+ * executors in both directions.
  */
 
 #ifndef FSCACHE_RUNNER_NET_EXECUTOR_HH
@@ -57,65 +43,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/net.hh"
-#include "runner/cell_guard.hh"
 
 namespace fscache
 {
 
-/** Net-farm knobs; fromEnv() re-reads the environment on every
- *  call (and fatals on a malformed FS_HOSTS). */
-struct NetExecutorConfig
-{
-    /** Agent endpoints (FS_HOSTS=host:port,...; required). */
-    std::vector<HostAddr> hosts;
-
-    /** A host with no traffic (results, PONGs) for this long is
-     *  declared dead and its leases requeue
-     *  (FS_HOST_TIMEOUT_MS, default 10000). Pings go out at a
-     *  third of this. */
-    std::uint64_t hostTimeoutMs = 10000;
-
-    /** Max cells leased to one host at a time (FS_LEASE_WINDOW,
-     *  default 2): one running, one queued to hide latency. */
-    unsigned leaseWindow = 2;
-
-    /** A lease unanswered for this long — while the host still
-     *  heartbeats — is a stalled cell: the connection is dropped
-     *  and the cell kill-marked (FS_LEASE_TIMEOUT_MS; 0 disables,
-     *  the default, because a slow cell and a stalled one look
-     *  identical without a budget). */
-    std::uint64_t leaseTimeoutMs = 0;
-
-    /** Kill marks (netdrop/host-timeout/stall) before a cell is
-     *  quarantined instead of requeued (FS_POISON_KILLS, default 2
-     *  here — unlike the local farm's 1, a host loss is usually
-     *  the host's fault, not the cell's, so one free retry). */
-    unsigned poisonKills = 2;
-
-    /** Reconnect backoff after the k-th consecutive failure of a
-     *  host is base * 2^(k-1) ms, capped at 2 s
-     *  (FS_WORKER_BACKOFF_MS — shared with worker respawn; 0
-     *  disables). */
-    std::uint64_t backoffMs = 25;
-
-    /** TCP connect timeout per attempt (FS_CONNECT_TIMEOUT_MS,
-     *  default 1000). */
-    std::uint64_t connectTimeoutMs = 1000;
-
-    static NetExecutorConfig fromEnv();
-};
+class SlotTransport;
+struct LeaseConfig;
 
 /**
- * Wire protocol v2: procwire-style lines (checkpoint codec) inside
- * CRC32 frames. Every message leads with the protocol version and
- * a message type; decoding a foreign version throws FsError.
- * Exposed for tests.
+ * Wire protocol v2: checkpoint-codec lines inside CRC32 frames,
+ * spoken by every farm slot (local workers and remote agents alike).
+ * Every message leads with the protocol version and a message type;
+ * decoding a foreign version throws FsError.
  */
 namespace netwire
 {
@@ -125,12 +66,12 @@ inline constexpr std::uint64_t kVersion = 2;
 
 enum class Type : std::uint64_t
 {
-    Hello = 1,   ///< agent -> coord: fingerprint + cell count
-    Lease = 2,   ///< coord -> agent: run this cell
-    Result = 3,  ///< agent -> coord: procwire v1 result, verbatim
-    Ping = 4,    ///< coord -> agent: heartbeat probe
-    Pong = 5,    ///< agent -> coord: heartbeat answer
-    Release = 6, ///< coord -> agent: sweep done, exit cleanly
+    Hello = 1,   ///< slot -> engine: fingerprint + cell count
+    Lease = 2,   ///< engine -> slot: run this cell
+    Result = 3,  ///< slot -> engine: procwire v1 result, verbatim
+    Ping = 4,    ///< engine -> agent: heartbeat probe
+    Pong = 5,    ///< agent -> engine: heartbeat answer
+    Release = 6, ///< engine -> slot: sweep done, exit cleanly
 };
 
 std::string encodeHello(std::uint64_t fingerprint,
@@ -156,41 +97,15 @@ void decodeResult(const std::string &msg,
 
 } // namespace netwire
 
-/** What runNetFarm() produced. */
-struct NetFarmResult
-{
-    /** Outcomes for every cell a host resolved (completed,
-     *  forwarded a failure for, or the coordinator quarantined). */
-    std::map<std::size_t, CellOutcome<std::string>> done;
-
-    /** True when every host was abandoned before the sweep
-     *  finished; cells absent from `done` must run locally. */
-    bool degraded = false;
-};
-
-/**
- * Coordinator side: run the `missing` cells of sweep `fingerprint`
- * on the FS_HOSTS agents. `on_payload` is invoked with each
- * successful cell's encoded payload as it arrives (checkpoint
- * journaling); pass nullptr to skip. Never throws and never loops
- * forever: when all hosts are gone the remaining cells are simply
- * left out of the result for the caller's local fallback.
- */
-NetFarmResult runNetFarm(
-    const std::vector<std::size_t> &missing,
-    std::uint64_t fingerprint, const NetExecutorConfig &cfg,
-    const std::function<void(std::size_t, const std::string &)>
-        &on_payload);
+/** One TCP slot per `cfg.hosts` agent (connect, then HELLO). */
+std::unique_ptr<SlotTransport> makeTcpSlots(const LeaseConfig &cfg);
 
 /**
  * Agent side: listen on netAgentPort() and serve cells of sweep
- * `fingerprint` to one coordinator at a time, executing them on a
- * local ProcFarm via `run_cell` — the same guarded-and-encoded
- * cell closure the process farm uses, except here it is reached
- * through worker re-exec, so the agent only needs the codec
- * identity, not the closure itself. Exits the process on RELEASE;
- * a dropped coordinator sends the agent back to accept(). Called
- * by SweepRunner::mapResilientCheckpointed() when netAgentMode();
+ * `fingerprint` to one coordinator at a time on local worker slots.
+ * Exits the process on RELEASE; a dropped coordinator sends the
+ * agent back to accepting, with its workers kept warm. Called by
+ * SweepRunner::mapResilientCheckpointed() when netAgentMode();
  * never returns.
  */
 [[noreturn]] void serveCellsAsAgent(std::size_t cells,

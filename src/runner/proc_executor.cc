@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <map>
+#include <type_traits>
+#include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -16,8 +15,10 @@
 
 #include "common/errors.hh"
 #include "common/log.hh"
+#include "common/net.hh"
 #include "runner/checkpoint.hh"
-#include "runner/sweep_runner.hh"
+#include "runner/lease_engine.hh"
+#include "runner/net_executor.hh"
 
 namespace fscache
 {
@@ -35,6 +36,26 @@ const char kWorkerFlagPrefix[] = "--fs-worker=";
  *  farm workers never become agents themselves. */
 const char kAgentFlagPrefix[] = "--fs-agent=";
 
+/** A worker reads requests on stdin and writes results here. */
+constexpr int kResultFd = 3;
+
+/** Frame `msg` onto pipe `fd`; false once its reader is gone.
+ *  EINTR/short-write safe. */
+bool
+writeFrame(int fd, const std::string &msg)
+{
+    const std::string frame = encodeFrame(msg);
+    for (std::size_t at = 0; at < frame.size();) {
+        ssize_t n = ::write(fd, frame.data() + at, frame.size() - at);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        at += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
 /** argv captured by procExecutorInit(), hidden flags stripped. */
 std::vector<std::string> g_argv;        // NOLINT: process-lifetime
 std::string g_exePath;                  // NOLINT: process-lifetime
@@ -43,91 +64,6 @@ bool g_workerMode = false;
 std::uint64_t g_workerFingerprint = 0;
 bool g_agentMode = false;
 std::uint16_t g_agentPort = 0;
-
-std::uint64_t
-steadyNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("%s must be a non-negative integer, got \"%s\"", name,
-              env);
-    return static_cast<unsigned>(v);
-}
-
-/** Stable signal names for FAILED(crash:...) markers. strsignal()
- *  is locale-dependent prose; artifacts need tokens. */
-std::string
-signalName(int sig)
-{
-    switch (sig) {
-      case SIGSEGV: return "SIGSEGV";
-      case SIGABRT: return "SIGABRT";
-      case SIGBUS:  return "SIGBUS";
-      case SIGILL:  return "SIGILL";
-      case SIGFPE:  return "SIGFPE";
-      case SIGKILL: return "SIGKILL";
-      case SIGTERM: return "SIGTERM";
-      default:      return strprintf("SIG%d", sig);
-    }
-}
-
-/** write(2) the whole buffer, retrying on EINTR/short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t len)
-{
-    while (len > 0) {
-        ssize_t n = ::write(fd, data, len);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/**
- * Read one '\n'-terminated line from fd into `line` (newline
- * stripped), buffering leftovers in `buf` across calls. Returns
- * false on EOF with no complete line.
- */
-bool
-readLineBuffered(int fd, std::string &buf, std::string &line)
-{
-    while (true) {
-        std::size_t nl = buf.find('\n');
-        if (nl != std::string::npos) {
-            line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            return true;
-        }
-        char chunk[4096];
-        ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return false;
-        buf.append(chunk, static_cast<std::size_t>(n));
-    }
-}
 
 } // namespace
 
@@ -164,34 +100,31 @@ procExecutorInit(int *argc, char **argv)
         g_exePath = argv[0];
     }
 
+    // The value of `prefix`<number> in `arg` (fatal if malformed or
+    // above `max`), or false when `arg` is some other argument.
+    auto flag = [](const char *arg, const char *prefix, int base,
+                   unsigned long long max, auto &value) {
+        const std::size_t len = std::strlen(prefix);
+        if (std::strncmp(arg, prefix, len) != 0)
+            return false;
+        char *end = nullptr;
+        unsigned long long v = std::strtoull(arg + len, &end, base);
+        if (end == arg + len || *end != '\0' || v > max)
+            fatal("malformed %s flag: \"%s\"", prefix, arg);
+        value = static_cast<std::remove_reference_t<decltype(value)>>(v);
+        return true;
+    };
     int out = 0;
     for (int i = 0; i < *argc; ++i) {
-        if (std::strncmp(argv[i], kWorkerFlagPrefix,
-                         sizeof(kWorkerFlagPrefix) - 1) == 0) {
-            const char *hex =
-                argv[i] + sizeof(kWorkerFlagPrefix) - 1;
-            char *end = nullptr;
-            g_workerFingerprint = std::strtoull(hex, &end, 16);
-            if (end == hex || *end != '\0')
-                fatal("malformed %s<fingerprint> flag: \"%s\"",
-                      kWorkerFlagPrefix, argv[i]);
+        // Strip both: the driver's parser never sees them, and an
+        // agent's re-exec'd workers must not become agents.
+        if (flag(argv[i], kWorkerFlagPrefix, 16, ~0ull,
+                 g_workerFingerprint))
             g_workerMode = true;
-            continue; // strip: the driver's parser never sees it
-        }
-        if (std::strncmp(argv[i], kAgentFlagPrefix,
-                         sizeof(kAgentFlagPrefix) - 1) == 0) {
-            const char *num =
-                argv[i] + sizeof(kAgentFlagPrefix) - 1;
-            char *end = nullptr;
-            unsigned long port = std::strtoul(num, &end, 10);
-            if (end == num || *end != '\0' || port > 65535)
-                fatal("malformed %s<port> flag: \"%s\"",
-                      kAgentFlagPrefix, argv[i]);
+        else if (flag(argv[i], kAgentFlagPrefix, 10, 65535, g_agentPort))
             g_agentMode = true;
-            g_agentPort = static_cast<std::uint16_t>(port);
-            continue; // strip, and keep out of worker re-exec argv
-        }
-        argv[out++] = argv[i];
+        else
+            argv[out++] = argv[i];
     }
     *argc = out;
     argv[out] = nullptr;
@@ -222,48 +155,8 @@ procWorkerFingerprint()
     return g_workerFingerprint;
 }
 
-ProcExecutorConfig
-ProcExecutorConfig::fromEnv()
-{
-    ProcExecutorConfig cfg;
-    cfg.workers = envUnsigned("FS_WORKERS", 0);
-    if (cfg.workers == 0)
-        cfg.workers = SweepRunner::defaultJobs();
-    cfg.hardTimeoutMs = envUnsigned("FS_WORKER_HARD_TIMEOUT_MS", 0);
-    cfg.poisonKills = envUnsigned("FS_POISON_KILLS", 1);
-    if (cfg.poisonKills == 0)
-        fatal("FS_POISON_KILLS=0 would retry a poison cell forever");
-    cfg.respawnBackoffMs = envUnsigned("FS_WORKER_BACKOFF_MS", 25);
-    return cfg;
-}
-
 namespace procwire
 {
-
-std::string
-encodeSpec(std::uint64_t fingerprint, std::size_t cell)
-{
-    CellEncoder enc;
-    enc.u64(kVersion).u64(fingerprint).u64(cell);
-    return enc.result();
-}
-
-void
-decodeSpec(const std::string &line, std::uint64_t &fingerprint,
-           std::size_t &cell)
-{
-    CellDecoder dec(line);
-    std::uint64_t version = dec.u64();
-    if (version != kVersion)
-        throw FsError(strprintf(
-            "farm protocol version mismatch: got %llu, want %llu",
-            static_cast<unsigned long long>(version),
-            static_cast<unsigned long long>(kVersion)));
-    fingerprint = dec.u64();
-    cell = static_cast<std::size_t>(dec.u64());
-    if (!dec.done())
-        throw FsError("farm cell spec has trailing tokens");
-}
 
 std::string
 encodeResult(std::size_t cell, const CellOutcome<std::string> &o)
@@ -323,588 +216,166 @@ serveCellsAsWorker(
     const std::function<CellOutcome<std::string>(std::size_t)>
         &run_cell)
 {
-    std::string buf;
-    std::string line;
-    while (readLineBuffered(STDIN_FILENO, buf, line)) {
-        std::uint64_t fp = 0;
+    FrameReader rd;
+    std::string msg;
+    bool up = writeFrame(kResultFd, netwire::encodeHello(fingerprint, cells));
+    while (up) {
+        FrameReader::Status st = rd.next(msg);
+        if (st == FrameReader::Status::NeedMore) {
+            // EOF: the engine is done with us.
+            up = recvInto(STDIN_FILENO, rd);
+            continue;
+        }
         std::size_t cell = 0;
         try {
-            procwire::decodeSpec(line, fp, cell);
+            if (st == FrameReader::Status::Corrupt)
+                throw FsError("corrupt frame");
+            if (netwire::decodeType(msg) == netwire::Type::Release)
+                break;
+            netwire::decodeLease(msg, cell);
+            if (cell >= cells)
+                throw FsError(strprintf("cell %zu out of range (%zu "
+                                        "cells)", cell, cells));
         } catch (const std::exception &e) {
-            fatal("farm worker: malformed cell spec: %s", e.what());
+            fatal("farm worker: bad request: %s", e.what());
         }
-        if (fp != fingerprint)
-            fatal("farm worker: sweep fingerprint mismatch "
-                  "(parent %016llx, worker %016llx) — parent and "
-                  "worker rebuilt different sweeps; config skew?",
-                  static_cast<unsigned long long>(fp),
-                  static_cast<unsigned long long>(fingerprint));
-        if (cell >= cells)
-            fatal("farm worker: cell %zu out of range (%zu cells)",
-                  cell, cells);
-        CellOutcome<std::string> o = run_cell(cell);
-        std::string res = procwire::encodeResult(cell, o) + "\n";
-        if (!writeAll(3, res.data(), res.size()))
-            break; // parent is gone; nothing left to serve
+        up = writeFrame(kResultFd, netwire::encodeResult(procwire::encodeResult(
+                                        cell, run_cell(cell))));
     }
-    // EOF on the command pipe is the shutdown signal.
     std::_Exit(0);
 }
 
 namespace
 {
 
-/** One worker process and its pipes, as the parent sees it. */
-struct Worker
+/** Worker processes over pipes; see makeLocalSlots(). */
+class LocalSlots final : public FdSlots
 {
-    pid_t pid = -1;
-    int cmdFd = -1;            ///< parent -> worker specs
-    int resFd = -1;            ///< worker -> parent results
-    std::string buf;           ///< partial result line
-    bool busy = false;
-    std::size_t cell = 0;      ///< meaningful iff busy
-    std::uint64_t deadlineNs = 0; ///< hard-kill time; 0 = none
-    bool hardKilled = false;   ///< SIGKILLed for blowing the budget
-    std::uint64_t respawnAtNs = 0; ///< backoff gate for respawn
-
-    bool alive() const { return pid > 0; }
-};
-
-void
-closeWorkerFds(Worker &w)
-{
-    if (w.cmdFd >= 0)
-        ::close(w.cmdFd);
-    if (w.resFd >= 0)
-        ::close(w.resFd);
-    w.cmdFd = -1;
-    w.resFd = -1;
-    w.buf.clear();
-}
-
-/**
- * fork/exec one worker serving sweep `fingerprint`: specs arrive on
- * its stdin, results leave on fd 3, stdout goes to /dev/null (the
- * worker re-runs the whole driver main(), banners included), stderr
- * is inherited so crash breadcrumbs reach the user.
- */
-bool
-spawnWorker(std::uint64_t fingerprint, Worker &w)
-{
-    int cmd[2];
-    int res[2];
-    if (::pipe2(cmd, O_CLOEXEC) != 0)
-        return false;
-    if (::pipe2(res, O_CLOEXEC) != 0) {
-        ::close(cmd[0]);
-        ::close(cmd[1]);
-        return false;
-    }
-
-    std::vector<std::string> args = g_argv;
-    args.push_back(strprintf(
-        "--fs-worker=%016llx",
-        static_cast<unsigned long long>(fingerprint)));
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(cmd[0]);
-        ::close(cmd[1]);
-        ::close(res[0]);
-        ::close(res[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child. Lift the pipe ends clear of fds 0-3 first (F_DUPFD
-        // drops the close-on-exec flag), then wire the worker's
-        // world: specs on 0, /dev/null on 1, results on 3.
-        int cmd_in = ::fcntl(cmd[0], F_DUPFD, 10);
-        int res_out = ::fcntl(res[1], F_DUPFD, 10);
-        int devnull = ::open("/dev/null", O_WRONLY);
-        if (cmd_in < 0 || res_out < 0 || devnull < 0)
-            std::_Exit(127);
-        if (::dup2(cmd_in, 0) < 0 || ::dup2(devnull, 1) < 0 ||
-            ::dup2(res_out, 3) < 0)
-            std::_Exit(127);
-
-        std::vector<char *> cargv;
-        cargv.reserve(args.size() + 1);
-        for (std::string &a : args)
-            cargv.push_back(a.data());
-        cargv.push_back(nullptr);
-        ::execv(g_exePath.c_str(), cargv.data());
-        // Exec failure is only reportable via the exit status; the
-        // parent decodes 127 into a crash outcome.
-        std::_Exit(127);
-    }
-
-    // Parent keeps the spec write end and the result read end.
-    ::close(cmd[0]);
-    ::close(res[1]);
-    w.pid = pid;
-    w.cmdFd = cmd[1];
-    w.resFd = res[0];
-    w.buf.clear();
-    w.busy = false;
-    w.deadlineNs = 0;
-    w.hardKilled = false;
-    return true;
-}
-
-/** waitpid the worker and render its death as a FAILED(...) label
- *  component: "SIGSEGV", "exit:127", ... */
-std::string
-reapWorker(Worker &w)
-{
-    int st = 0;
-    pid_t r;
-    do {
-        r = ::waitpid(w.pid, &st, 0);
-    } while (r < 0 && errno == EINTR);
-    w.pid = -1;
-    closeWorkerFds(w);
-    if (r < 0)
-        return "lost";
-    if (WIFSIGNALED(st))
-        return signalName(WTERMSIG(st));
-    if (WIFEXITED(st))
-        return strprintf("exit:%d", WEXITSTATUS(st));
-    return "unknown";
-}
-
-} // namespace
-
-struct ProcFarm::Impl
-{
-    std::uint64_t fingerprint;
-    ProcExecutorConfig cfg;
-    std::vector<Worker> workers;
-    std::deque<std::size_t> pending;
-    std::map<std::size_t, unsigned> kills;
-    std::size_t inflight = 0;
-    unsigned deathCap = 0;
-    unsigned consecutiveDeaths = 0;
-    bool stalled = false;
-    struct sigaction prevPipe
+  public:
+    LocalSlots(std::uint64_t fingerprint, std::size_t n)
+        : FdSlots(n), pids_(n, -1), cmd_(n, -1),
+          flag_(strprintf("--fs-worker=%016llx",
+                          static_cast<unsigned long long>(fingerprint)))
     {
-    };
-
-    Impl(std::uint64_t fp, const ProcExecutorConfig &c,
-         std::size_t pool_hint)
-        : fingerprint(fp), cfg(c)
-    {
-        // A worker can die between our poll() and our write();
-        // EPIPE as a return value is part of the protocol, SIGPIPE
-        // is not.
+        // A worker can die between our poll() and our write(); EPIPE
+        // as a return value is part of the protocol, SIGPIPE is not.
         struct sigaction ign
         {
         };
         ign.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ign, &prevPipe);
-
-        const std::size_t pool = std::max<std::size_t>(
-            1, std::min<std::size_t>(cfg.workers, pool_hint));
-        workers.resize(pool);
-
-        // Workers that die without completing a single cell in
-        // between make no progress; cap the carnage instead of
-        // respawning forever (covers exec failures and
-        // crash-on-startup too).
-        deathCap =
-            8 + cfg.poisonKills * static_cast<unsigned>(pool);
+        ::sigaction(SIGPIPE, &ign, &prevPipe_);
     }
 
-    ~Impl()
+    ~LocalSlots() override { ::sigaction(SIGPIPE, &prevPipe_, nullptr); }
+
+    bool
+    open(std::size_t s) override
     {
-        // Shutdown: closing the command pipes is the signal;
-        // workers exit(0) on EOF. SIGKILL any straggler after a
-        // short grace so a wedged worker cannot hang the sweep's
-        // exit.
-        for (Worker &w : workers)
-            if (w.cmdFd >= 0) {
-                ::close(w.cmdFd);
-                w.cmdFd = -1;
-            }
-        std::uint64_t grace_end =
-            steadyNowNs() + 2000 * 1000000ull;
-        for (Worker &w : workers) {
-            if (!w.alive())
-                continue;
-            while (true) {
-                int st = 0;
-                pid_t r = ::waitpid(w.pid, &st, WNOHANG);
-                if (r == w.pid || (r < 0 && errno != EINTR)) {
-                    w.pid = -1;
-                    closeWorkerFds(w);
-                    break;
-                }
-                if (steadyNowNs() >= grace_end) {
-                    ::kill(w.pid, SIGKILL);
-                    reapWorker(w);
-                    break;
-                }
-                ::poll(nullptr, 0, 10);
-            }
+        int cmd[2];
+        int res[2];
+        if (::pipe2(cmd, O_CLOEXEC) != 0)
+            return false;
+        if (::pipe2(res, O_CLOEXEC) != 0) {
+            ::close(cmd[0]);
+            ::close(cmd[1]);
+            return false;
         }
-        ::sigaction(SIGPIPE, &prevPipe, nullptr);
+        std::vector<std::string> args = g_argv;
+        args.push_back(flag_);
+        std::vector<char *> cargv;
+        for (std::string &a : args)
+            cargv.push_back(a.data());
+        cargv.push_back(nullptr);
+        pid_t pid = ::fork();
+        if (pid == 0) {
+            // Child: lift the pipe ends clear of fds 0-3 (F_DUPFD
+            // drops close-on-exec), then requests on stdin, results
+            // on fd 3, stdout to /dev/null because the worker re-runs
+            // the driver's main() banners and all, stderr kept for
+            // crash breadcrumbs. Exec failure shows up as exit:127.
+            int in = ::fcntl(cmd[0], F_DUPFD, 10);
+            int out = ::fcntl(res[1], F_DUPFD, 10);
+            int devnull = ::open("/dev/null", O_WRONLY);
+            if (in >= 0 && out >= 0 && devnull >= 0 &&
+                ::dup2(in, STDIN_FILENO) >= 0 &&
+                ::dup2(devnull, STDOUT_FILENO) >= 0 &&
+                ::dup2(out, kResultFd) >= 0)
+                ::execv(g_exePath.c_str(), cargv.data());
+            std::_Exit(127);
+        }
+        ::close(cmd[0]);
+        ::close(res[1]);
+        if (pid < 0) {
+            ::close(cmd[1]);
+            ::close(res[0]);
+            return false;
+        }
+        pids_[s] = pid;
+        cmd_[s] = cmd[1];
+        fds_[s] = res[0];
+        return true;
     }
 
-    void
-    failCell(Done &done, std::size_t cell, ErrorClass cls,
-             CellStatus status, std::string signal,
-             std::string error)
+    bool
+    write(std::size_t s, const std::string &msg) override
     {
-        CellOutcome<std::string> o;
-        o.status = status;
-        o.errorClass = cls;
-        o.crashSignal = std::move(signal);
-        o.error = std::move(error);
-        o.attempts = kills[cell] > 0 ? kills[cell] : 1;
-        done.emplace_back(cell, std::move(o));
+        return writeFrame(cmd_[s], msg);
     }
 
-    /**
-     * One worker death, observed either via result-pipe EOF or
-     * after a hard-timeout SIGKILL: classify, requeue-or-quarantine
-     * its cell, and leave the slot dead for the respawn pass.
-     */
-    void
-    handleDeath(Worker &w, Done &done)
+    std::string
+    close(std::size_t s, std::uint64_t kill_at_ns) override
     {
-        bool was_busy = w.busy;
-        std::size_t cell = w.cell;
-        bool hard = w.hardKilled;
-        std::string how = reapWorker(w);
-        w.busy = false;
-        if (!was_busy) {
-            // Died idle (startup crash, exec failure, shutdown
-            // race). No cell to blame.
-            if (how != "exit:0")
-                ++consecutiveDeaths;
-            return;
+        ::close(cmd_[s]);
+        ::close(fds_[s]);
+        cmd_[s] = fds_[s] = -1;
+        const pid_t pid = pids_[s];
+        pids_[s] = -1;
+        if (pid <= 0)
+            return ""; // never kill(-1, ...)
+        // Closing its pipes tells a live worker to exit; SIGKILL it
+        // at `kill_at_ns` so a wedge cannot hang us. A worker that
+        // already died keeps its own exit status.
+        int st = 0;
+        pid_t r;
+        while ((r = ::waitpid(pid, &st, WNOHANG)) == 0 ||
+               (r < 0 && errno == EINTR)) {
+            if (r == 0 && detail::guardNowNs() >= kill_at_ns)
+                ::kill(pid, SIGKILL);
+            ::poll(nullptr, 0, 1);
         }
-        --inflight;
-        if (hard) {
-            // Resolving a cell — even by quarantine — is progress.
-            consecutiveDeaths = 0;
-            failCell(done, cell, ErrorClass::HardTimeout,
-                     CellStatus::TimedOut, "",
-                     strprintf("worker SIGKILLed after exceeding "
-                               "FS_WORKER_HARD_TIMEOUT_MS=%llu",
-                               static_cast<unsigned long long>(
-                                   cfg.hardTimeoutMs)));
-            return; // a wedged cell stays wedged; never requeue
-        }
-        unsigned k = ++kills[cell];
-        if (k >= cfg.poisonKills) {
-            consecutiveDeaths = 0;
-            failCell(done, cell, ErrorClass::Crash,
-                     CellStatus::Failed, how,
-                     strprintf("worker died (%s) running cell %zu"
-                               "%s", how.c_str(), cell,
-                               k > 1 ? "; poison cell quarantined"
-                                     : ""));
-            return;
-        }
-        ++consecutiveDeaths;
-        // Requeue at the front: resolve the suspect cell before
-        // feeding fresh ones to the replacement worker.
-        pending.push_front(cell);
+        if (r < 0)
+            return "lost";
+        if (!WIFSIGNALED(st))
+            return strprintf("exit:%d", WEXITSTATUS(st));
+        // Stable tokens for FAILED(crash:...) markers ("SIGSEGV");
+        // strsignal() is locale-dependent prose.
+        const char *abbrev = ::sigabbrev_np(WTERMSIG(st));
+        return abbrev != nullptr ? strprintf("SIG%s", abbrev)
+                                 : strprintf("SIG%d", WTERMSIG(st));
     }
 
-    static std::uint64_t
-    hardDeadline(const Worker &w)
+    std::string
+    name(std::size_t s) const override
     {
-        return w.busy ? w.deadlineNs : 0;
+        return strprintf("worker %zu", s);
     }
 
-    /** One scheduling round: respawn, feed, wait, kill, collect. */
-    void
-    iterate(int timeout_ms, Done &done)
+  private:
+    std::vector<pid_t> pids_;
+    std::vector<int> cmd_; ///< request pipe write ends
+    std::string flag_;
+    struct sigaction prevPipe_
     {
-        if (stalled)
-            return;
-        std::uint64_t now = steadyNowNs();
-
-        // Respawn dead slots (honoring backoff) while there is
-        // still work for them.
-        for (Worker &w : workers) {
-            if (w.alive() || pending.empty())
-                continue;
-            if (consecutiveDeaths >= deathCap) {
-                stalled = true;
-                return;
-            }
-            if (w.respawnAtNs > now)
-                continue;
-            if (!spawnWorker(fingerprint, w)) {
-                ++consecutiveDeaths;
-                w.respawnAtNs = now + 100 * 1000000ull;
-                continue;
-            }
-            if (consecutiveDeaths > 0 &&
-                cfg.respawnBackoffMs > 0) {
-                unsigned shift =
-                    std::min(consecutiveDeaths - 1, 16u);
-                std::uint64_t delay_ms = std::min<std::uint64_t>(
-                    cfg.respawnBackoffMs << shift, 2000);
-                // Gate the *next* respawn, not this one: backoff
-                // paces repeated deaths without stalling recovery.
-                w.respawnAtNs = now + delay_ms * 1000000ull;
-            }
-        }
-
-        // Feed idle workers.
-        for (Worker &w : workers) {
-            if (!w.alive() || w.busy || pending.empty())
-                continue;
-            std::size_t cell = pending.front();
-            pending.pop_front();
-            std::string spec =
-                procwire::encodeSpec(fingerprint, cell) + "\n";
-            if (!writeAll(w.cmdFd, spec.data(), spec.size())) {
-                // Worker died before the spec arrived — it cannot
-                // have died *from* this cell, so requeue without a
-                // kill mark and reap the corpse.
-                pending.push_front(cell);
-                handleDeath(w, done);
-                continue;
-            }
-            w.busy = true;
-            w.cell = cell;
-            ++inflight;
-            w.deadlineNs =
-                cfg.hardTimeoutMs > 0
-                    ? now + cfg.hardTimeoutMs * 1000000ull
-                    : 0;
-        }
-
-        // Wait for results, deaths, or the next deadline.
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fd_worker;
-        std::uint64_t next_event = 0;
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            Worker &w = workers[i];
-            if (!w.alive())
-                continue;
-            fds.push_back({w.resFd, POLLIN, 0});
-            fd_worker.push_back(i);
-            std::uint64_t d = hardDeadline(w);
-            if (d != 0 && (next_event == 0 || d < next_event))
-                next_event = d;
-        }
-        if (fds.empty()) {
-            if (pending.empty() && inflight == 0)
-                return; // idle: nothing to wait for
-            // All workers dead but work remains: let the caller
-            // loop back to the respawn pass after the shortest
-            // backoff (capped at its timeout, to stay responsive).
-            std::uint64_t wake = 0;
-            for (const Worker &w : workers)
-                if (w.respawnAtNs > now &&
-                    (wake == 0 || w.respawnAtNs < wake))
-                    wake = w.respawnAtNs;
-            if (wake > now) {
-                std::uint64_t ms = (wake - now) / 1000000ull + 1;
-                ::poll(nullptr, 0,
-                       static_cast<int>(std::min<std::uint64_t>(
-                           ms, static_cast<std::uint64_t>(
-                                   std::max(timeout_ms, 1)))));
-            }
-            return;
-        }
-        int wait_ms = std::max(timeout_ms, 0);
-        now = steadyNowNs();
-        if (next_event != 0) {
-            std::uint64_t ms = next_event > now
-                                   ? (next_event - now) / 1000000ull
-                                   : 0;
-            wait_ms = static_cast<int>(std::min<std::uint64_t>(
-                ms + 1, static_cast<std::uint64_t>(wait_ms)));
-        }
-        int nready = ::poll(fds.data(),
-                            static_cast<nfds_t>(fds.size()),
-                            wait_ms);
-        now = steadyNowNs();
-
-        // Hard-timeout enforcement: SIGKILL, then reap via the
-        // normal death path (the EOF arrives on the next poll).
-        for (Worker &w : workers) {
-            if (!w.alive() || !w.busy || w.hardKilled)
-                continue;
-            std::uint64_t d = hardDeadline(w);
-            if (d != 0 && now >= d) {
-                w.hardKilled = true;
-                ::kill(w.pid, SIGKILL);
-            }
-        }
-
-        if (nready <= 0)
-            return;
-        for (std::size_t f = 0; f < fds.size(); ++f) {
-            if (fds[f].revents == 0)
-                continue;
-            Worker &w = workers[fd_worker[f]];
-            if (!w.alive())
-                continue; // already reaped this pass
-            char chunk[4096];
-            ssize_t n;
-            do {
-                n = ::read(w.resFd, chunk, sizeof(chunk));
-            } while (n < 0 && errno == EINTR);
-            if (n <= 0) {
-                handleDeath(w, done);
-                continue;
-            }
-            w.buf.append(chunk, static_cast<std::size_t>(n));
-            std::size_t nl;
-            while ((nl = w.buf.find('\n')) != std::string::npos) {
-                std::string line = w.buf.substr(0, nl);
-                w.buf.erase(0, nl + 1);
-                std::size_t cell = 0;
-                CellOutcome<std::string> o;
-                try {
-                    procwire::decodeResult(line, cell, o);
-                } catch (const std::exception &e) {
-                    warn("farm: dropping malformed result line "
-                         "from worker %d: %s",
-                         static_cast<int>(w.pid), e.what());
-                    continue;
-                }
-                if (!w.busy || cell != w.cell) {
-                    warn("farm: unexpected result for cell %zu "
-                         "from worker %d; dropping", cell,
-                         static_cast<int>(w.pid));
-                    continue;
-                }
-                w.busy = false;
-                --inflight;
-                consecutiveDeaths = 0; // progress
-                done.emplace_back(cell, std::move(o));
-            }
-        }
-    }
-
-    void
-    failUnfinished(Done &done)
-    {
-        // Fail everything unfinished; the sweep still completes
-        // and the manifest says why.
-        for (Worker &w : workers) {
-            if (!w.alive())
-                continue;
-            if (w.busy) {
-                w.busy = false;
-                --inflight;
-                pending.push_front(w.cell);
-            }
-            ::kill(w.pid, SIGKILL);
-            reapWorker(w);
-        }
-        for (std::size_t cell : pending)
-            failCell(done, cell, ErrorClass::Crash,
-                     CellStatus::Failed, "farm-stalled",
-                     strprintf("process farm stalled: %u "
-                               "consecutive worker deaths with no "
-                               "completed cell",
-                               consecutiveDeaths));
-        pending.clear();
-        stalled = true;
-    }
+    };
 };
 
-ProcFarm::ProcFarm(std::uint64_t fingerprint,
-                   const ProcExecutorConfig &cfg,
-                   std::size_t pool_hint)
-    : impl_(std::make_unique<Impl>(fingerprint, cfg, pool_hint))
+} // namespace
+
+std::unique_ptr<SlotTransport>
+makeLocalSlots(std::uint64_t fingerprint, std::size_t n)
 {
-}
-
-ProcFarm::~ProcFarm() = default;
-
-void
-ProcFarm::submit(std::size_t cell)
-{
-    impl_->pending.push_back(cell);
-}
-
-void
-ProcFarm::poll(int timeout_ms, Done &done)
-{
-    impl_->iterate(timeout_ms, done);
-}
-
-bool
-ProcFarm::idle() const
-{
-    return impl_->pending.empty() && impl_->inflight == 0;
-}
-
-bool
-ProcFarm::stalled() const
-{
-    return impl_->stalled;
-}
-
-void
-ProcFarm::failUnfinished(Done &done)
-{
-    impl_->failUnfinished(done);
-}
-
-std::vector<CellOutcome<std::string>>
-runProcessFarm(const std::vector<std::size_t> &missing,
-               std::uint64_t fingerprint,
-               const ProcExecutorConfig &cfg,
-               const std::function<void(std::size_t,
-                                        const std::string &)>
-                   &on_payload)
-{
-    std::map<std::size_t, CellOutcome<std::string>> results;
-    {
-        ProcFarm farm(fingerprint, cfg, missing.size());
-        for (std::size_t cell : missing)
-            farm.submit(cell);
-
-        ProcFarm::Done done;
-        auto absorb = [&] {
-            for (auto &[cell, o] : done) {
-                if (o.ok() && on_payload)
-                    on_payload(cell, *o.value);
-                results[cell] = std::move(o);
-            }
-            done.clear();
-        };
-        while (results.size() < missing.size() &&
-               !farm.stalled()) {
-            farm.poll(200, done);
-            absorb();
-            if (farm.idle())
-                break; // nothing left to do
-        }
-        if (farm.stalled()) {
-            farm.failUnfinished(done);
-            absorb();
-        }
-    } // ~ProcFarm: EOF the pipes, grace-wait, SIGKILL stragglers
-
-    std::vector<CellOutcome<std::string>> out;
-    out.reserve(missing.size());
-    for (std::size_t cell : missing) {
-        auto it = results.find(cell);
-        if (it != results.end()) {
-            out.push_back(std::move(it->second));
-            continue;
-        }
-        CellOutcome<std::string> o;
-        o.status = CellStatus::Failed;
-        o.errorClass = ErrorClass::Crash;
-        o.crashSignal = "farm-stalled";
-        o.error = "process farm exited before running this cell";
-        o.attempts = 1;
-        out.push_back(std::move(o));
-    }
-    return out;
+    return std::make_unique<LocalSlots>(fingerprint,
+                                        std::max<std::size_t>(n, 1));
 }
 
 } // namespace fscache

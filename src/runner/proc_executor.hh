@@ -1,7 +1,8 @@
 /**
  * @file
- * Process-isolated sweep farm: crash-contained multi-process cell
- * execution with hard kills and deterministic merge.
+ * Process-isolated sweep farm: the executor switch, the hidden
+ * re-entry flags, the procwire result codec, and the local worker
+ * slots the lease engine (runner/lease_engine.hh) runs cells on.
  *
  * The thread-pool executor (runner/sweep_runner.hh) quarantines
  * cells that fail *cooperatively* — a thrown exception, a watchdog
@@ -10,43 +11,36 @@
  * executor closes that gap by making a sweep cell *data* instead of
  * a live closure:
  *
- *  - The driver binary re-enters itself: the parent fork/execs a
- *    small pool of FS_WORKERS copies of its own argv plus a hidden
- *    `--fs-worker` flag. Each worker runs the identical driver
- *    main() up to its mapResilientCheckpointed() call — rebuilding
- *    the same workload, cache spec, and cell function — and then
- *    serves cells instead of sweeping.
- *  - Cells travel as CellSpec lines (protocol version, sweep
- *    fingerprint, cell index) over the worker's stdin; results come
- *    back as versioned CellResult lines over a dedicated pipe on
- *    fd 3, carrying the checkpoint-codec payload bit-exactly
- *    (doubles by bit pattern, strings hex-encoded). The fingerprint
- *    is the same FNV-1a key the PR 3 checkpoint journal uses, so a
- *    worker that rebuilt a *different* sweep (config skew between
- *    parent and child binary/environment) refuses to serve.
+ *  - The driver binary re-enters itself: the engine fork/execs up to
+ *    FS_WORKERS copies of its own argv plus a hidden
+ *    `--fs-worker=<fingerprint>` flag. Each worker runs the
+ *    identical driver main() up to its mapResilientCheckpointed()
+ *    call — rebuilding the same workload, cache spec, and cell
+ *    function — and then serves cells instead of sweeping.
+ *  - A worker reads requests on stdin and writes results to fd 3,
+ *    one pipe each way. It greets with a netwire HELLO carrying the
+ *    sweep fingerprint (the FNV-1a key the checkpoint journal uses),
+ *    takes one LEASE at a time, and answers
+ *    each with a RESULT embedding a procwire v1 result line: the
+ *    checkpoint-codec payload, bit-exact (doubles by bit pattern,
+ *    strings hex-encoded). The engine checks the fingerprint, so a
+ *    worker that rebuilt a *different* sweep is never leased a cell.
  *  - A worker that dies — SIGSEGV, sanitizer abort, nonzero exit —
- *    kills one cell, not the sweep: the parent decodes the waitpid
- *    status into a typed FAILED(crash:SIGSEGV)-style outcome,
- *    restarts the worker with exponential backoff, and requeues the
- *    cell on a fresh worker until the poison-cell threshold
- *    (FS_POISON_KILLS, default 1) quarantines it for good.
- *  - A worker that wedges — a busy loop that never polls
- *    cancellation — is SIGKILLed after FS_WORKER_HARD_TIMEOUT_MS of
- *    wall clock, no cooperation required, and the cell is
- *    quarantined as FAILED(hard-timeout).
+ *    kills one cell, not the sweep: the engine names the death from
+ *    waitpid, requeues the cell on a fresh worker until the
+ *    poison-cell threshold (FS_POISON_KILLS, default 1) quarantines
+ *    it as FAILED(crash:SIGSEGV), and a wedge past
+ *    FS_WORKER_HARD_TIMEOUT_MS is SIGKILLed as FAILED(hard-timeout).
  *  - Results are merged **in cell order**, so a clean process-mode
  *    run renders byte-identical artifacts to the in-process path
  *    (pinned by the golden_fs_setassoc_coarse_proc ctest), and the
- *    checkpoint journal interoperates: a journal written under
- *    FS_EXECUTOR=thread resumes under FS_EXECUTOR=process and vice
- *    versa.
+ *    checkpoint journal interoperates across executor modes.
  *
  * Drivers opt in by calling procExecutorInit() first thing in
- * main() (captures argv for re-exec and strips `--fs-worker`) and
+ * main() (captures argv for re-exec and strips the hidden flags) and
  * using SweepRunner::mapResilientCheckpointed(), whose encode /
- * decode hooks double as the wire codec. FS_EXECUTOR=process then
- * switches any such sweep onto the farm. See docs/ROBUSTNESS.md
- * §Process isolation.
+ * decode hooks double as the wire codec. See docs/ROBUSTNESS.md
+ * §Out-of-process execution.
  */
 
 #ifndef FSCACHE_RUNNER_PROC_EXECUTOR_HH
@@ -57,13 +51,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "runner/cell_guard.hh"
 
 namespace fscache
 {
+
+class SlotTransport;
 
 /** Which executor mapResilientCheckpointed() runs cells on. */
 enum class ExecutorKind
@@ -84,9 +78,8 @@ ExecutorKind executorKindFromEnv();
  * Must be the first thing a farm-capable driver's main() does: the
  * flags are stripped in place (argc/argv are adjusted) so the
  * driver's own argument parser never sees them, and the filtered
- * argv is what the parent re-execs workers with — an agent's
- * workers must not themselves become agents. Idempotent per
- * process.
+ * argv is what workers are re-exec'd with — an agent's workers must
+ * not themselves become agents. Idempotent per process.
  */
 void procExecutorInit(int *argc, char **argv);
 
@@ -109,38 +102,11 @@ std::uint16_t netAgentPort();
  */
 std::uint64_t procWorkerFingerprint();
 
-/** Farm knobs; fromEnv() re-reads the environment on every call. */
-struct ProcExecutorConfig
-{
-    /** Worker-process pool size (FS_WORKERS; default: FS_JOBS or
-     *  the hardware concurrency, like the thread executor). */
-    unsigned workers = 0;
-
-    /** Wall-clock budget per cell in ms before the worker is
-     *  SIGKILLed (FS_WORKER_HARD_TIMEOUT_MS); 0 disables the hard
-     *  kill. */
-    std::uint64_t hardTimeoutMs = 0;
-
-    /** A cell whose worker dies abnormally is requeued on a fresh
-     *  worker until it has killed this many workers, then
-     *  quarantined (FS_POISON_KILLS, default 1 — cells are
-     *  deterministic, so a crash normally reproduces). */
-    unsigned poisonKills = 1;
-
-    /** Backoff before respawning after the k-th consecutive worker
-     *  death is base * 2^(k-1) ms, capped at 2 s
-     *  (FS_WORKER_BACKOFF_MS; 0 disables). */
-    std::uint64_t respawnBackoffMs = 25;
-
-    static ProcExecutorConfig fromEnv();
-};
-
 /**
- * Wire codec for the farm protocol. One line per message, built on
- * the checkpoint CellEncoder/CellDecoder (doubles by bit pattern,
- * strings hex-encoded) so payloads round-trip bit-exactly; every
- * message leads with a protocol version and decoding a foreign
- * version throws FsError. Exposed for tests.
+ * The cell-result codec: one line built on the checkpoint
+ * CellEncoder/CellDecoder, so payloads round-trip bit-exactly. It
+ * leads with a protocol version, and decoding a foreign version
+ * throws FsError. Netwire RESULT messages carry it verbatim.
  */
 namespace procwire
 {
@@ -148,16 +114,8 @@ namespace procwire
 /** Protocol version; bumped on any incompatible format change. */
 inline constexpr std::uint64_t kVersion = 1;
 
-/** Parent -> worker: run cell `cell` of the sweep `fingerprint`. */
-std::string encodeSpec(std::uint64_t fingerprint, std::size_t cell);
-
-/** Inverse of encodeSpec; throws FsError on malformed/foreign
- *  input. */
-void decodeSpec(const std::string &line, std::uint64_t &fingerprint,
-                std::size_t &cell);
-
-/** Worker -> parent: the guarded outcome of one cell, value
- *  replaced by its encoded payload. */
+/** The guarded outcome of one cell, value replaced by its encoded
+ *  payload. */
 std::string encodeResult(std::size_t cell,
                          const CellOutcome<std::string> &o);
 
@@ -169,96 +127,22 @@ void decodeResult(const std::string &line, std::size_t &cell,
 } // namespace procwire
 
 /**
- * Worker side: serve CellSpec lines from stdin — running each cell
+ * Worker side: greet on fd 3, then run each cell leased on stdin
  * through `run_cell` (the guarded cell function with its value
- * encoded) and writing CellResult lines to the result pipe — until
- * the parent closes the pipe, then exit(0). Fatal on a fingerprint
- * mismatch (parent/worker sweep-config skew). Called by
- * SweepRunner::mapResilientCheckpointed() when procWorkerMode();
- * never returns.
+ * encoded) and answer with its RESULT, until RELEASE or EOF; then
+ * exit(0). Called by SweepRunner::mapResilientCheckpointed() when
+ * procWorkerMode(); never returns.
  */
 [[noreturn]] void serveCellsAsWorker(
     std::size_t cells, std::uint64_t fingerprint,
     const std::function<CellOutcome<std::string>(std::size_t)>
         &run_cell);
 
-/**
- * Parent side: run the `missing` cells of sweep `fingerprint` on a
- * farm of worker processes (see file comment) and return their
- * outcomes, parallel to `missing`. `on_payload` is invoked with
- * each successful cell's encoded payload as it arrives (checkpoint
- * journaling); pass nullptr to skip. Never throws; a farm that
- * cannot make progress (workers die repeatedly with no completed
- * cell) fails the remaining cells instead of looping forever.
- */
-std::vector<CellOutcome<std::string>> runProcessFarm(
-    const std::vector<std::size_t> &missing,
-    std::uint64_t fingerprint, const ProcExecutorConfig &cfg,
-    const std::function<void(std::size_t, const std::string &)>
-        &on_payload);
-
-/**
- * Incremental process farm: the engine under runProcessFarm(),
- * exposed as a class so a caller with its own event loop — the net
- * agent, which must keep answering heartbeats while cells run — can
- * interleave submit()/poll() with other I/O instead of blocking in
- * one monolithic call. Semantics (crash containment, poison-cell
- * quarantine, hard kills, respawn backoff, stall detection) are
- * exactly runProcessFarm()'s: that function is now a thin loop over
- * this class, and the process-executor tests + the proc golden pin
- * the behavior.
- */
-class ProcFarm
-{
-  public:
-    /** One finished cell and its outcome. */
-    using Done =
-        std::vector<std::pair<std::size_t,
-                              CellOutcome<std::string>>>;
-
-    /**
-     * @param pool_hint expected total cell count; the worker pool
-     *        is min(cfg.workers, pool_hint), at least 1.
-     */
-    ProcFarm(std::uint64_t fingerprint,
-             const ProcExecutorConfig &cfg, std::size_t pool_hint);
-
-    /** Shuts the farm down: EOF on the command pipes, short grace,
-     *  SIGKILL stragglers. Unfinished cells are abandoned. */
-    ~ProcFarm();
-
-    ProcFarm(const ProcFarm &) = delete;
-    ProcFarm &operator=(const ProcFarm &) = delete;
-
-    /** Queue one cell for execution. */
-    void submit(std::size_t cell);
-
-    /**
-     * Advance the farm: respawn/feed workers, wait up to
-     * `timeout_ms` for results or deaths, and append every cell
-     * that finished (completed, quarantined, or hard-killed) to
-     * `done`. Returns promptly when idle().
-     */
-    void poll(int timeout_ms, Done &done);
-
-    /** No cell pending or in flight. */
-    bool idle() const;
-
-    /**
-     * Workers died `death cap` times in a row with no completed
-     * cell — the farm cannot make progress. Once stalled it stays
-     * stalled; collect the wreckage with failUnfinished().
-     */
-    bool stalled() const;
-
-    /** Kill every worker and append FAILED(crash:farm-stalled)
-     *  outcomes for all unfinished cells to `done`. */
-    void failUnfinished(Done &done);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
+/** `n` local worker slots serving sweep `fingerprint`: each opens
+ *  by fork/exec of this binary with `--fs-worker=<fingerprint>`
+ *  over a pair of pipes, and its death is named from waitpid. */
+std::unique_ptr<SlotTransport> makeLocalSlots(std::uint64_t fingerprint,
+                                              std::size_t n);
 
 } // namespace fscache
 

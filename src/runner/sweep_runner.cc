@@ -1,10 +1,10 @@
 #include "runner/sweep_runner.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "check/breadcrumb.hh"
+#include "common/arg_parser.hh"
 
 namespace fscache
 {
@@ -24,17 +24,8 @@ SweepRunner::warnNoFarmWithoutCodec()
 unsigned
 SweepRunner::defaultJobs()
 {
-    const char *env = std::getenv("FS_JOBS");
-    if (env != nullptr && *env != '\0') {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1)
-            fatal("FS_JOBS must be a positive integer, got \"%s\"",
-                  env);
-        return static_cast<unsigned>(v);
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return envKnob<unsigned>("FS_JOBS", hw > 0 ? hw : 1, 1);
 }
 
 SweepRunner::SweepRunner(unsigned jobs)

@@ -33,6 +33,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -42,6 +44,7 @@
 #include "common/log.hh"
 #include "runner/cell_guard.hh"
 #include "runner/checkpoint.hh"
+#include "runner/lease_engine.hh"
 #include "runner/net_executor.hh"
 #include "runner/proc_executor.hh"
 #include "runner/thread_pool.hh"
@@ -167,15 +170,15 @@ class SweepRunner
      * failed cells are never journaled, so a resume retries them.
      * The config key is automatically extended with the cell count.
      *
-     * When FS_EXECUTOR=process (runner/proc_executor.hh), the
-     * missing cells run on a pool of worker *processes* instead of
+     * When FS_EXECUTOR=process or net, the missing cells run on
+     * the lease engine (runner/lease_engine.hh). Under process they
+     * are leased to a pool of worker *processes* instead of
      * threads: a SIGSEGV or a hard-killed wedge quarantines one
      * cell as FAILED(crash:...)/FAILED(hard-timeout) instead of
-     * taking down the sweep. FS_EXECUTOR=net
-     * (runner/net_executor.hh) goes one hop further: cells are
-     * leased over TCP to FS_HOSTS agents (each running its own
-     * process farm), lost hosts requeue their leases, and when all
-     * hosts die the remaining cells finish locally. Results merge
+     * taking down the sweep. Under net they are leased over TCP to
+     * FS_HOSTS agents (each running the engine over its own
+     * workers), lost hosts requeue their leases, and when all hosts
+     * are lost the remaining cells finish locally. Results merge
      * in cell order and the codec is bit-exact, so clean-run output
      * — and the checkpoint journal — is byte-identical across
      * executors; a journal written under any executor resumes under
@@ -213,38 +216,26 @@ class SweepRunner
                 return serial.mapResilient(
                     cells, std::forward<Fn>(fn), cfg);
             }
-            auto run_cell = [&fn, &cfg, &encode](std::size_t i)
-                -> CellOutcome<std::string> {
-                CellOutcome<R> o = runGuarded(i, fn, cfg);
-                CellOutcome<std::string> w;
-                w.status = o.status;
-                w.errorClass = o.errorClass;
-                w.error = o.error;
-                w.detail = o.detail;
-                w.crashSignal = o.crashSignal;
-                w.attempts = o.attempts;
-                if (o.ok())
-                    w.value.emplace(encode(*o.value));
-                return w;
+            auto run_cell = [&fn, &cfg, &encode](std::size_t i) {
+                return withValue<std::string>(runGuarded(i, fn, cfg),
+                                              encode);
             };
             serveCellsAsWorker(cells, fp, run_cell);
         }
 
         if (netAgentMode()) {
             // Net-farm agent: serve this sweep to a coordinator
-            // over TCP, executing leased cells on a local process
-            // farm (whose workers re-enter main() and hit the
+            // over TCP, executing leased cells on local worker
+            // slots (whose workers re-enter main() and hit the
             // procWorkerMode() branch above). The agent itself
             // neither journals nor renders. Never returns.
             serveCellsAsAgent(cells, fp);
         }
 
         const ExecutorKind kind = executorKindFromEnv();
-        const bool farm = kind == ExecutorKind::Process;
-        const bool netfarm = kind == ExecutorKind::Net;
         std::unique_ptr<CheckpointJournal> journal =
             CheckpointJournal::openFromEnv(sweep_name, full_key);
-        if (journal == nullptr && !farm && !netfarm)
+        if (journal == nullptr && kind == ExecutorKind::Thread)
             return mapResilient(cells, std::forward<Fn>(fn), cfg);
 
         SweepReport<R> report;
@@ -274,74 +265,26 @@ class SweepRunner
             }
         }
 
-        // Journal the wire payload verbatim — no re-encode — so
-        // farm, net, and thread journals are byte-identical.
-        auto journal_payload = [&journal](std::size_t cell,
-                                          const std::string
-                                              &payload) {
-            if (journal != nullptr)
-                journal->record(cell, payload);
-        };
-        // Decode one farm/net wire outcome back into a typed one.
-        auto from_wire = [&decode](std::size_t i,
-                                   CellOutcome<std::string> &w)
-            -> CellOutcome<R> {
-            CellOutcome<R> o;
-            o.status = w.status;
-            o.errorClass = w.errorClass;
-            o.error = std::move(w.error);
-            o.detail = std::move(w.detail);
-            o.crashSignal = std::move(w.crashSignal);
-            o.attempts = w.attempts;
-            if (o.status == CellStatus::Ok && w.value.has_value()) {
-                try {
-                    o.value.emplace(decode(*w.value));
-                } catch (const std::exception &e) {
-                    o = CellOutcome<R>{};
-                    o.status = CellStatus::Failed;
-                    o.errorClass = ErrorClass::Permanent;
-                    o.error = strprintf(
-                        "farm result for cell %zu "
-                        "undecodable: %s", i, e.what());
-                    o.attempts = w.attempts;
-                }
-            } else if (o.status == CellStatus::Ok) {
-                o.status = CellStatus::Failed;
-                o.errorClass = ErrorClass::Permanent;
-                o.error = "farm result missing its payload";
-            }
-            return o;
-        };
-
-        if (farm) {
-            std::vector<CellOutcome<std::string>> outcomes =
-                runProcessFarm(missing, fp,
-                               ProcExecutorConfig::fromEnv(),
-                               journal_payload);
-            for (std::size_t k = 0; k < missing.size(); ++k)
-                report.cells[missing[k]] =
-                    from_wire(missing[k], outcomes[k]);
-            return report;
-        }
-
-        if (netfarm) {
-            NetFarmResult nf =
-                runNetFarm(missing, fp, NetExecutorConfig::fromEnv(),
-                           journal_payload);
+        if (kind != ExecutorKind::Thread) {
+            // Journal the wire payload verbatim — no re-encode — so
+            // farm, net, and thread journals are byte-identical.
+            std::map<std::size_t, CellOutcome<std::string>> wire =
+                runFarm(kind, missing, fp,
+                        [&journal](std::size_t cell,
+                                   const std::string &payload) {
+                            if (journal != nullptr)
+                                journal->record(cell, payload);
+                        });
             std::vector<std::size_t> leftover;
             for (std::size_t i : missing) {
-                auto it = nf.done.find(i);
-                if (it == nf.done.end()) {
+                auto it = wire.find(i);
+                if (it == wire.end())
                     leftover.push_back(i);
-                    continue;
-                }
-                report.cells[i] = from_wire(i, it->second);
+                else
+                    report.cells[i] = fromWire<R>(i, it->second, decode);
             }
-            if (leftover.empty())
-                return report;
-            // Graceful degradation: every host is gone; finish the
-            // unresolved cells on the local guarded path below
-            // (runNetFarm already warned once).
+            // Every host lost (net only): finish the unresolved
+            // cells on the local guarded path below.
             missing = std::move(leftover);
         }
 
@@ -375,6 +318,27 @@ class SweepRunner
     }
 
   private:
+    /** Decode one farm wire outcome back into a typed one. */
+    template <typename R, typename Dec>
+    static CellOutcome<R>
+    fromWire(std::size_t i, CellOutcome<std::string> &w, Dec &decode)
+    {
+        const unsigned attempts = w.attempts;
+        try {
+            if (w.ok() && !w.value.has_value())
+                throw FsError("payload missing");
+            return withValue<R>(std::move(w), decode);
+        } catch (const std::exception &e) {
+            CellOutcome<R> o;
+            o.status = CellStatus::Failed;
+            o.errorClass = ErrorClass::Permanent;
+            o.error = strprintf("farm result for cell %zu undecodable: "
+                                "%s", i, e.what());
+            o.attempts = attempts;
+            return o;
+        }
+    }
+
     template <typename Fn>
     void
     runPooled(std::size_t cells, Fn &&fn)

@@ -36,6 +36,7 @@
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/net.hh"
+#include "runner/lease_engine.hh"
 #include "runner/net_executor.hh"
 #include "runner/proc_executor.hh"
 #include "runner/sweep_runner.hh"
@@ -167,6 +168,25 @@ TEST(NetFraming, CorruptPayloadIsRejectedAndSticky)
     EXPECT_EQ(rd.next(out), FrameReader::Status::Corrupt);
 }
 
+TEST(NetFraming, Crc32MatchesTheIeeeReference)
+{
+    // Both ends share crc32(), so round trips cannot catch a wrong
+    // one: pin the standard check value and a bitwise reference.
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    std::string data;
+    for (int i = 0; i < 40; ++i)
+        data.push_back(static_cast<char>(i * 37 + 11));
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+        std::uint32_t c = 0xffffffffu;
+        for (std::size_t i = 0; i < len; ++i) {
+            c ^= static_cast<unsigned char>(data[i]);
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+        EXPECT_EQ(crc32(data.data(), len), c ^ 0xffffffffu) << len;
+    }
+}
+
 TEST(NetFraming, OversizeLengthIsCorruptNotAllocation)
 {
     std::string hdr(8, '\0');
@@ -265,7 +285,7 @@ TEST(NetExecutorConfigTest, EnvKnobsParse)
     setenv("FS_LEASE_TIMEOUT_MS", "250", 1);
     setenv("FS_POISON_KILLS", "4", 1);
     setenv("FS_CONNECT_TIMEOUT_MS", "77", 1);
-    NetExecutorConfig cfg = NetExecutorConfig::fromEnv();
+    LeaseConfig cfg = LeaseConfig::fromEnv(ExecutorKind::Net);
     ASSERT_EQ(cfg.hosts.size(), 2u);
     EXPECT_EQ(cfg.hosts[0].host, "a");
     EXPECT_EQ(cfg.hosts[1].port, 2);
@@ -279,13 +299,30 @@ TEST(NetExecutorConfigTest, EnvKnobsParse)
     unsetenv("FS_LEASE_TIMEOUT_MS");
     unsetenv("FS_POISON_KILLS");
     unsetenv("FS_CONNECT_TIMEOUT_MS");
-    cfg = NetExecutorConfig::fromEnv();
+    cfg = LeaseConfig::fromEnv(ExecutorKind::Net);
     EXPECT_EQ(cfg.hostTimeoutMs, 10000u);
     EXPECT_EQ(cfg.leaseWindow, 2u);
     EXPECT_EQ(cfg.leaseTimeoutMs, 0u);
     // Net default is 2 (one free retry), unlike the local farm's 1:
     // a lost host is usually the host's fault, not the cell's.
     EXPECT_EQ(cfg.poisonKills, 2u);
+
+    // Malformed values, and values beyond the field's type, die
+    // naming the knob instead of truncating into the field.
+    const std::pair<const char *, const char *> bad[] = {
+        {"FS_LEASE_WINDOW", "4294967296"},
+        {"FS_LEASE_WINDOW", "0"},
+        {"FS_POISON_KILLS", "4294967298"},
+        {"FS_HOST_TIMEOUT_MS", "0"},
+        {"FS_CONNECT_TIMEOUT_MS", "-5"},
+        {"FS_LEASE_TIMEOUT_MS", "99999999999999999999"},
+    };
+    for (const auto &[knob, value] : bad) {
+        setenv(knob, value, 1);
+        EXPECT_DEATH(LeaseConfig::fromEnv(ExecutorKind::Net), knob)
+            << knob << "=" << value;
+        unsetenv(knob);
+    }
     unsetenv("FS_HOSTS");
 }
 

@@ -3,7 +3,8 @@
  * Process-farm executor tests: wire-codec bit-exactness, clean-run
  * byte identity with the in-process path, crash containment (segv
  * fault and raise(SIGKILL) mid-cell), hard-timeout SIGKILL of a
- * spinning cell, poison-cell quarantine after k worker deaths, and
+ * spinning cell, poison-cell quarantine after k worker deaths, a
+ * run of consecutive crashes that must not stall the farm, and
  * checkpoint-journal interop across executor modes.
  *
  * This binary has its own main(): under FS_EXECUTOR=process the
@@ -22,10 +23,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
+#include "runner/lease_engine.hh"
 #include "runner/proc_executor.hh"
 #include "runner/sweep_runner.hh"
 
@@ -148,22 +151,6 @@ class ProcExecutorTest : public ::testing::Test
 
     std::string dir_;
 };
-
-TEST(ProcWire, SpecRoundTripsAndRejectsForeignVersions)
-{
-    std::string line = procwire::encodeSpec(0xdeadbeefcafef00dull,
-                                            42);
-    std::uint64_t fp = 0;
-    std::size_t cell = 0;
-    procwire::decodeSpec(line, fp, cell);
-    EXPECT_EQ(fp, 0xdeadbeefcafef00dull);
-    EXPECT_EQ(cell, 42u);
-
-    CellEncoder foreign;
-    foreign.u64(procwire::kVersion + 1).u64(1).u64(2);
-    EXPECT_THROW(procwire::decodeSpec(foreign.result(), fp, cell),
-                 FsError);
-}
 
 TEST(ProcWire, ResultRoundTripsBitExactly)
 {
@@ -304,6 +291,26 @@ TEST_F(ProcExecutorTest, PoisonCellQuarantinedAfterKDeaths)
         EXPECT_TRUE(farm.cells[i].ok()) << i;
 }
 
+TEST_F(ProcExecutorTest, ConsecutiveCrashesDoNotStallTheFarm)
+{
+    // One worker crashes on five cells in a row. Each crash
+    // quarantines its cell, which is progress: the slot is respawned
+    // every time and the last cell still runs.
+    setenv("FS_EXECUTOR", "process", 1);
+    setenv("FS_WORKERS", "1", 1);
+    setenv("FS_FAULTS",
+           "cell=0:segv;cell=1:segv;cell=2:segv;cell=3:segv;cell=4:segv",
+           1);
+    auto farm = runTestSweep();
+    for (std::size_t i = 0; i + 1 < kCells; ++i) {
+        EXPECT_EQ(farm.cells[i].errorClass, ErrorClass::Crash) << i;
+        EXPECT_NE(failureLabel(farm.cells[i]), "crash:farm-stalled") << i;
+    }
+    ASSERT_TRUE(farm.cells[kCells - 1].ok());
+    EXPECT_EQ(encodeD(*farm.cells[kCells - 1].value),
+              serialPayloads()[kCells - 1]);
+}
+
 TEST_F(ProcExecutorTest, ThreadJournalResumesUnderProcessMode)
 {
     setenv("FS_CHECKPOINT_DIR", checkpointDir().c_str(), 1);
@@ -375,18 +382,37 @@ TEST(ProcExecutorConfigTest, EnvKnobsParse)
     setenv("FS_WORKER_HARD_TIMEOUT_MS", "2500", 1);
     setenv("FS_POISON_KILLS", "4", 1);
     setenv("FS_WORKER_BACKOFF_MS", "10", 1);
-    ProcExecutorConfig cfg = ProcExecutorConfig::fromEnv();
+    LeaseConfig cfg = LeaseConfig::fromEnv(ExecutorKind::Process);
     EXPECT_EQ(cfg.workers, 3u);
     EXPECT_EQ(cfg.hardTimeoutMs, 2500u);
     EXPECT_EQ(cfg.poisonKills, 4u);
-    EXPECT_EQ(cfg.respawnBackoffMs, 10u);
+    EXPECT_EQ(cfg.backoffMs, 10u);
+    EXPECT_EQ(cfg.leaseWindow, 1u); // one cell per worker
     unsetenv("FS_WORKERS");
     unsetenv("FS_WORKER_HARD_TIMEOUT_MS");
     unsetenv("FS_POISON_KILLS");
     unsetenv("FS_WORKER_BACKOFF_MS");
 
-    EXPECT_EQ(ProcExecutorConfig::fromEnv().poisonKills, 1u);
-    EXPECT_EQ(ProcExecutorConfig::fromEnv().hardTimeoutMs, 0u);
+    cfg = LeaseConfig::fromEnv(ExecutorKind::Process);
+    EXPECT_EQ(cfg.poisonKills, 1u);
+    EXPECT_EQ(cfg.hardTimeoutMs, 0u);
+    EXPECT_EQ(cfg.backoffMs, 25u);
+
+    // Malformed values, and values beyond the field's type, die
+    // naming the knob instead of truncating into the field.
+    const std::pair<const char *, const char *> bad[] = {
+        {"FS_WORKERS", "4294967297"},
+        {"FS_WORKERS", "-1"},
+        {"FS_POISON_KILLS", "0"},
+        {"FS_WORKER_HARD_TIMEOUT_MS", "99999999999999999999"},
+        {"FS_WORKER_BACKOFF_MS", "12ms"},
+    };
+    for (const auto &[knob, value] : bad) {
+        setenv(knob, value, 1);
+        EXPECT_DEATH(LeaseConfig::fromEnv(ExecutorKind::Process), knob)
+            << knob << "=" << value;
+        unsetenv(knob);
+    }
 }
 
 } // namespace

@@ -202,6 +202,15 @@ TEST(SweepRunner, JobsFromEnv)
     unsetenv("FS_JOBS");
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
     EXPECT_EQ(SweepRunner(3).jobs(), 3u);
+
+    // Malformed, zero and out-of-range values die naming the knob
+    // instead of silently becoming some other job count.
+    for (const char *bad : {"99999999999999999999", "4294967296", "0",
+                            "-2", "4x"}) {
+        setenv("FS_JOBS", bad, 1);
+        EXPECT_DEATH(SweepRunner::defaultJobs(), "FS_JOBS") << bad;
+    }
+    unsetenv("FS_JOBS");
 }
 
 } // namespace
