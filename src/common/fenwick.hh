@@ -3,14 +3,15 @@
  * Binary-indexed (Fenwick) occupancy tree over a fixed power-of-two
  * range of positions: each position is either marked or empty, and
  * the tree answers "how many marks below position p" and "where is
- * the first mark" in O(log capacity) array arithmetic.
+ * the k-th mark" in O(log capacity) array arithmetic.
  *
- * This is the order structure behind RecencyRankingBase: positions
- * are recency stamps, marks are resident lines, prefix counts are
- * exact LRU ranks. Compared to the order-statistic treap it
- * replaces on that path, a Fenwick walk touches log2(C) contiguous
- * array words instead of chasing log2(N) heap-allocated node
- * pointers, and needs no rebalancing state (no priorities, no RNG).
+ * This is the order structure over a RecencyIndex's stamp axis
+ * (common/recency_index.hh): positions are recency stamps, marks
+ * are resident entries, prefix counts are exact LRU ranks. Compared
+ * to an order-statistic treap, a Fenwick walk touches log2(C)
+ * contiguous array words instead of chasing log2(N) heap-allocated
+ * node pointers, and needs no rebalancing state (no priorities, no
+ * RNG).
  */
 
 #ifndef FSCACHE_COMMON_FENWICK_HH
@@ -43,18 +44,11 @@ class FenwickTree
         cap_ = capacity;
         total_ = 0;
         // fs-analyze: allow(hot-path-alloc) reset runs once per
-        // tree — construction, or first sight of a partition id in
-        // RecencyRankingBase::ensurePart — bounded by the partition
-        // count (witness: tests/test_hot_alloc.cc).
+        // tree — construction, first sight of a partition id in
+        // RecencyRankingBase::ensurePart (bounded by the partition
+        // count), or a doubling of StackDistGenerator's stamp axis
+        // (witness: tests/test_hot_alloc.cc).
         tree_.assign(cap_ + 1, 0);
-    }
-
-    /** Empty every position; capacity is kept. */
-    void
-    clear()
-    {
-        std::fill(tree_.begin(), tree_.end(), 0);
-        total_ = 0;
     }
 
     /** Mark the (currently empty) position `pos`. */
@@ -90,24 +84,52 @@ class FenwickTree
     std::uint32_t capacity() const { return cap_; }
 
     /**
-     * Lowest marked position, by the standard select descent: walk
-     * the implicit tree from the top bit down, stepping right when
-     * the left subtree holds no mark. Requires total() > 0.
+     * Position of the k-th lowest mark (0-based; k = 0 is the lowest
+     * marked position), by the standard select descent: walk the
+     * implicit tree from the top bit down, stepping right past every
+     * left subtree that holds too few marks. Requires k < total().
      */
     std::uint32_t
-    firstMarked() const
+    selectKth(std::uint32_t k) const
     {
-        fs_assert(total_ > 0, "firstMarked on an empty fenwick");
+        fs_assert(k < total_, "fenwick select out of range");
         std::uint32_t pos = 0;
-        std::uint32_t need = 1;
-        for (std::uint32_t bit = cap_; bit > 0; bit >>= 1) {
+        std::uint32_t need = k + 1;
+        for (std::uint32_t bit = cap_ >> 1; bit > 0; bit >>= 1) {
             std::uint32_t next = pos + bit;
-            if (next <= cap_ && tree_[next] < need) {
+            if (tree_[next] < need) {
                 need -= tree_[next];
                 pos = next;
             }
         }
         return pos;
+    }
+
+    /**
+     * Replace the contents in O(capacity): position p < n is marked
+     * iff marked(p), every position >= n is empty. Equivalent to
+     * emptying every position and then calling mark() at each such p
+     * in turn, without the O(log capacity) walk per mark.
+     */
+    template <typename Marked>
+    void
+    build(std::uint32_t n, Marked marked)
+    {
+        fs_assert(n <= cap_, "fenwick build out of range");
+        // First node i holds the prefix count of positions below i
+        // (1-based: up to and including i) ...
+        std::uint32_t run = 0;
+        for (std::uint32_t pos = 0; pos < n; ++pos) {
+            run += marked(pos) ? 1 : 0;
+            tree_[pos + 1] = run;
+        }
+        std::fill(tree_.begin() + n + 1, tree_.end(), run);
+        total_ = run;
+        // ... then the difference of two prefixes, the count over
+        // its range (i - lowbit(i), i]. Descending, so the lower
+        // prefix it subtracts is still intact; tree_[0] stays 0.
+        for (std::uint32_t i = cap_; i > 0; --i)
+            tree_[i] -= tree_[i - (i & (0u - i))];
     }
 
   private:

@@ -5,26 +5,8 @@
 namespace fscache
 {
 
-namespace
-{
-
-/** Smallest power of two >= 2 * num_lines (and >= 16, so tiny test
- *  caches still get a useful renumber interval). */
-std::uint32_t
-stampCapacity(LineId num_lines)
-{
-    fs_assert(num_lines < (1u << 30), "line count overflows stamps");
-    std::uint32_t cap = 16;
-    while (cap < 2 * std::max<std::uint32_t>(num_lines, 1))
-        cap <<= 1;
-    return cap;
-}
-
-} // namespace
-
 RecencyRankingBase::RecencyRankingBase(LineId num_lines)
-    : capacity_(stampCapacity(num_lines)),
-      lineAt_(capacity_, kInvalidLine), stampOf_(num_lines, 0),
+    : axis_(num_lines), stampOf_(num_lines, 0),
       partOf_(num_lines, kInvalidPart), present_(num_lines, 0)
 {
 }
@@ -43,40 +25,33 @@ RecencyRankingBase::ensurePart(PartId part)
     for (FenwickTree &fen : fens_) {
         if (fen.capacity() == 0)
             // fs-analyze: allow(hot-path-alloc) see above.
-            fen.reset(capacity_);
+            fen.reset(axis_.capacity());
     }
 }
 
 std::uint32_t
-RecencyRankingBase::allocStamp()
+RecencyRankingBase::stampNewest(LineId id)
 {
-    if (stampNext_ == capacity_)
+    if (axis_.full())
         renumber();
-    return stampNext_++;
+    std::uint32_t pos = axis_.append(id);
+    stampOf_[id] = pos;
+    return pos;
 }
 
 void
 RecencyRankingBase::renumber()
 {
-    // Compact in stamp order: relative recency — the only thing the
-    // ranks depend on — is preserved exactly.
-    std::uint32_t next = 0;
-    for (std::uint32_t pos = 0; pos < capacity_; ++pos) {
-        LineId id = lineAt_[pos];
-        if (id == kInvalidLine)
-            continue;
-        lineAt_[next] = id;
-        stampOf_[id] = next;
-        ++next;
+    axis_.compact();
+    fs_assert(!axis_.full(), "stamp axis cannot hold its lines");
+    std::uint32_t live = axis_.end();
+    for (std::uint32_t pos = 0; pos < live; ++pos)
+        stampOf_[axis_.at(pos)] = pos;
+    for (std::size_t p = 0; p < fens_.size(); ++p) {
+        fens_[p].build(live, [&](std::uint32_t pos) {
+            return partOf_[axis_.at(pos)] == p;
+        });
     }
-    std::fill(lineAt_.begin() + next, lineAt_.end(), kInvalidLine);
-    stampNext_ = next;
-    fs_assert(next < capacity_, "stamp axis cannot hold its lines");
-
-    for (FenwickTree &fen : fens_)
-        fen.clear();
-    for (std::uint32_t pos = 0; pos < next; ++pos)
-        fens_[partOf_[lineAt_[pos]]].mark(pos);
 }
 
 void
@@ -86,10 +61,7 @@ RecencyRankingBase::placeNewest(LineId id, PartId part)
     ensurePart(part);
     partOf_[id] = part;
     present_[id] = 1;
-    std::uint32_t pos = allocStamp();
-    stampOf_[id] = pos;
-    lineAt_[pos] = id;
-    fens_[part].mark(pos);
+    fens_[part].mark(stampNewest(id));
     ++size_[part];
 }
 
@@ -97,14 +69,10 @@ void
 RecencyRankingBase::touchNewest(LineId id)
 {
     fs_assert(present_[id], "touching an absent line");
-    PartId part = partOf_[id];
-    std::uint32_t old_pos = stampOf_[id];
-    fens_[part].unmark(old_pos);
-    lineAt_[old_pos] = kInvalidLine;
-    std::uint32_t pos = allocStamp();
-    stampOf_[id] = pos;
-    lineAt_[pos] = id;
-    fens_[part].mark(pos);
+    FenwickTree &fen = fens_[partOf_[id]];
+    fen.unmark(stampOf_[id]);
+    axis_.vacate(stampOf_[id]);
+    fen.mark(stampNewest(id));
 }
 
 void
@@ -113,7 +81,7 @@ RecencyRankingBase::remove(LineId id)
     fs_assert(present_[id], "removing an absent line");
     PartId part = partOf_[id];
     fens_[part].unmark(stampOf_[id]);
-    lineAt_[stampOf_[id]] = kInvalidLine;
+    axis_.vacate(stampOf_[id]);
     --size_[part];
     present_[id] = 0;
     partOf_[id] = kInvalidPart;
@@ -133,7 +101,7 @@ RecencyRankingBase::onRelocate(LineId from, LineId to)
     // The stamp is positional metadata that follows the line: the
     // order (and so every rank) is untouched, no Fenwick changes.
     std::uint32_t pos = stampOf_[from];
-    lineAt_[pos] = to;
+    axis_.set(pos, to);
     stampOf_[to] = pos;
     partOf_[to] = partOf_[from];
     present_[to] = 1;
@@ -194,7 +162,7 @@ RecencyRankingBase::worstIn(PartId part) const
     // safe under that damage (audits, not crashes, report it).
     if (part >= fens_.size() || fens_[part].total() == 0)
         return kInvalidLine;
-    return lineAt_[fens_[part].firstMarked()];
+    return axis_.at(fens_[part].selectKth(0));
 }
 
 std::uint32_t
@@ -223,14 +191,14 @@ RecencyRankingBase::corruptRankNodeForFaultInjection()
 std::string
 RecencyRankingBase::auditInvariants() const
 {
-    // Stamp axis <-> line metadata: lineAt_/stampOf_ must be inverse
-    // over present lines, and nothing may sit past stampNext_.
+    // Stamp axis <-> line metadata: axis_/stampOf_ must be inverse
+    // over present lines, and nothing may sit past axis_.end().
     std::uint32_t live = 0;
-    for (std::uint32_t pos = 0; pos < capacity_; ++pos) {
-        LineId id = lineAt_[pos];
+    for (std::uint32_t pos = 0; pos < axis_.capacity(); ++pos) {
+        LineId id = axis_.at(pos);
         if (id == kInvalidLine)
             continue;
-        if (pos >= stampNext_) {
+        if (pos >= axis_.end()) {
             return strprintf("line %u at unallocated stamp %u", id,
                              pos);
         }
@@ -260,7 +228,7 @@ RecencyRankingBase::auditInvariants() const
                              "partition %u", id,
                              static_cast<unsigned>(partOf_[id]));
         }
-        if (lineAt_[stampOf_[id]] != id) {
+        if (axis_.at(stampOf_[id]) != id) {
             return strprintf("present line %u missing from the "
                              "stamp axis", id);
         }
@@ -276,11 +244,11 @@ RecencyRankingBase::auditInvariants() const
     for (std::size_t p = 0; p < fens_.size(); ++p) {
         const FenwickTree &fen = fens_[p];
         std::uint32_t prev = 0;
-        for (std::uint32_t pos = 0; pos < stampNext_; ++pos) {
+        for (std::uint32_t pos = 0; pos < axis_.end(); ++pos) {
             std::uint32_t cur = fen.countBelow(pos + 1);
             std::uint32_t markHere = cur - prev;
             prev = cur;
-            LineId id = lineAt_[pos];
+            LineId id = axis_.at(pos);
             std::uint32_t want =
                 (id != kInvalidLine && partOf_[id] == p) ? 1 : 0;
             if (markHere != want) {

@@ -3,23 +3,25 @@
  * Shared machinery for rankings whose exact per-partition order IS
  * recency — every install and every hit moves the line to the
  * newest end, nothing ever re-keys to the middle (exact LRU, the
- * coarse-timestamp LRU's exact shadow order).
+ * coarse-timestamp LRU's exact shadow order, Random's exact order).
  *
  * That monotonicity admits a much cheaper order structure than the
  * general order-statistic treap (ranking/treap_ranking_base.hh):
- * lines are laid out on an append-only recency-stamp axis and a
- * per-partition Fenwick tree (common/fenwick.hh) counts resident
- * lines per stamp prefix. Exact rank = partition size minus the
- * count of older residents; the least-recent line is the first
- * marked stamp. Every operation is O(log capacity) over contiguous
- * arrays — no node allocation, no pointer chasing, no rebalancing.
+ * lines are laid out on a RecencyIndex stamp axis
+ * (common/recency_index.hh) and a per-partition Fenwick tree
+ * (common/fenwick.hh) counts resident lines per stamp prefix. Exact
+ * rank = partition size minus the count of older residents; the
+ * least-recent line is the first marked stamp. Every operation is
+ * O(log capacity) over contiguous arrays — no node allocation, no
+ * pointer chasing, no rebalancing.
  *
  * Byte-identity with the treap-backed order it replaces: stamps are
  * assigned in call order, exactly the order of the strictly
- * increasing usefulness clocks the treap keys encoded, so every
- * rank is the identical integer and every futility the identical
- * double. (Rankings with non-monotone keys — LFU, OPT, RRIP — stay
- * on TreapRankingBase.)
+ * increasing usefulness clocks the treap keys encoded, and relocate
+ * and retag keep a line's stamp just as the treap kept its old
+ * primary, so every rank is the identical integer and every
+ * futility the identical double. (Rankings with non-monotone keys —
+ * LFU, OPT, RRIP — stay on TreapRankingBase.)
  */
 
 #ifndef FSCACHE_RANKING_RECENCY_RANKING_BASE_HH
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "common/fenwick.hh"
+#include "common/recency_index.hh"
 #include "ranking/futility_ranking.hh"
 
 namespace fscache
@@ -72,28 +75,27 @@ class RecencyRankingBase : public FutilityRanking
     bool present(LineId id) const { return present_[id] != 0; }
 
   private:
-    /** Next free recency stamp, renumbering when the axis is full. */
-    std::uint32_t allocStamp();
+    /** Append `id` as the newest line, compacting the axis first
+     *  when it is full; returns the line's stamp. */
+    std::uint32_t stampNewest(LineId id);
 
     /**
-     * Compact the stamp axis: live lines keep their relative order
-     * but move to stamps 0..live-1, and the partition Fenwicks are
-     * rebuilt. Runs once per ~capacity_ - num_lines stamp
-     * allocations, so its O(capacity_) cost amortizes to O(1) per
-     * touch; it allocates nothing.
+     * Compact the stamp axis (RecencyIndex::compact) and rebuild
+     * the stamp map and the partition Fenwicks from it. Runs once
+     * per ~capacity - num_lines stamp allocations, so its
+     * O(partitions x capacity) cost amortizes to O(1) per touch; it
+     * allocates nothing (the axis is sized to twice the line count,
+     * so it never grows).
      */
     void renumber();
 
     /** Grow the per-partition structures to cover `part`. */
     void ensurePart(PartId part);
 
-    /** Stamp-axis length; power of two >= 2x the line count, so at
+    /** Line at each stamp; capacity >= 2x the line count, so at
      *  least half of every renumber interval is fresh stamps. */
-    std::uint32_t capacity_;
-    std::uint32_t stampNext_ = 0;
-    /** Line at each stamp, kInvalidLine where empty. Inverse of
-     *  stampOf_ over present lines. */
-    std::vector<LineId> lineAt_;
+    RecencyIndex<LineId, kInvalidLine> axis_;
+    /** Stamp of each present line; inverse of axis_ over them. */
     std::vector<std::uint32_t> stampOf_;
     /** Per-partition mark-per-resident Fenwick over the stamp axis. */
     std::vector<FenwickTree> fens_;

@@ -1,7 +1,7 @@
 #include "trace/stack_dist_generator.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/log.hh"
 
@@ -59,10 +59,23 @@ DepthDist::sample(Rng &rng, std::uint64_t cap) const
     return d;
 }
 
+namespace
+{
+
+/** Stack entries the constructor pre-populates. */
+std::uint64_t
+prewarmCount(const StackDistConfig &cfg)
+{
+    return cfg.prewarm ? std::min(cfg.depth.maxDepth, cfg.maxResident)
+                       : 0;
+}
+
+} // namespace
+
 StackDistGenerator::StackDistGenerator(const StackDistConfig &cfg,
                                        Addr base_addr, Rng rng)
     : cfg_(cfg), baseAddr_(base_addr), rng_(rng),
-      gap_(cfg.meanInstrGap), stack_(rng_())
+      gap_(cfg.meanInstrGap), stack_(prewarmCount(cfg))
 {
     fs_assert(cfg_.pNew >= 0.0 && cfg_.pNew <= 1.0, "bad pNew");
     fs_assert(cfg_.depth.minDepth >= 1 &&
@@ -70,58 +83,67 @@ StackDistGenerator::StackDistGenerator(const StackDistConfig &cfg,
               "bad depth range");
     fs_assert(cfg_.maxResident >= 2, "need at least two residents");
 
-    if (cfg_.prewarm) {
-        // Oldest entries first, so depth d reaches address
-        // maxDepth - d initially. The keys a touch() loop would
-        // insert are strictly ascending (packed clock dominates)
-        // and warm <= maxResident means no evictions, so the stack
-        // can be bulk-built in O(warm) instead of warm treap
-        // descents — constructing thousands of generators per sweep
-        // made the loop the single hottest path in the benches.
-        std::uint64_t warm =
-            std::min(cfg_.depth.maxDepth, cfg_.maxResident);
-        std::vector<std::uint64_t> keys;
-        keys.reserve(warm);
-        for (std::uint64_t i = 0; i < warm; ++i) {
-            keys.push_back((++clock_ << kAddrBits) |
-                           (nextNewAddr_++ & kAddrMask));
-        }
-        stack_.buildFromSorted(keys.begin(), keys.end());
-    }
+    // One draw is discarded here. Every recorded trace and golden
+    // was produced with it in the stream; dropping it would shift
+    // every later draw.
+    rng_();
+
+    // Oldest entries first, so depth d reaches address warm - d
+    // initially. The axis is sized from this count, not from
+    // maxResident, and grows only if the stack does.
+    std::uint64_t warm = prewarmCount(cfg_);
+    for (std::uint64_t i = 0; i < warm; ++i)
+        stack_.append(static_cast<std::uint32_t>(nextNewAddr_++));
+    markAll();
 }
 
-std::uint64_t
-StackDistGenerator::touch(Addr local)
+void
+StackDistGenerator::markAll()
 {
-    std::uint64_t key = (++clock_ << kAddrBits) | (local & kAddrMask);
-    // The packed clock dominates the key, so every touch inserts
-    // the new stack maximum.
-    stack_.insertMax(key);
-    if (stack_.size() > cfg_.maxResident)
-        stack_.erase(stack_.minKey());
-    return key;
+    if (onStack_.capacity() != stack_.capacity())
+        onStack_.reset(stack_.capacity());
+    onStack_.build(stack_.end(), [](std::uint32_t) { return true; });
+}
+
+void
+StackDistGenerator::push(std::uint32_t local)
+{
+    if (stack_.full()) {
+        stack_.compact();
+        markAll();
+    }
+    onStack_.mark(stack_.append(local));
+}
+
+void
+StackDistGenerator::pop(std::uint32_t stamp)
+{
+    onStack_.unmark(stamp);
+    stack_.vacate(stamp);
 }
 
 Access
 StackDistGenerator::next()
 {
-    Addr local;
-    if (stack_.empty() || rng_.chance(cfg_.pNew)) {
-        local = nextNewAddr_++;
-        touch(local);
+    std::uint32_t local = 0;
+    std::uint32_t size = onStack_.total();
+    if (size == 0 || rng_.chance(cfg_.pNew)) {
+        fs_assert(nextNewAddr_ < kNoAddr,
+                  "stack-distance generator ran out of addresses");
+        local = static_cast<std::uint32_t>(nextNewAddr_++);
+        push(local);
+        if (onStack_.total() > cfg_.maxResident)
+            pop(onStack_.selectKth(0)); // forget the least recent
     } else {
-        // Depth d = 1 is the most recently used entry. Moving it to
-        // the top of the stack is one rank-descent detach plus a
-        // max-key relink: no free-list churn, and size is unchanged
-        // so the maxResident bound needs no re-check. The address
-        // rides in the low bits of the detached key.
-        std::uint64_t d = cfg_.depth.sample(rng_, stack_.size());
-        std::uint64_t key = stack_.reKeyKthToMax(
-            static_cast<std::uint32_t>(stack_.size() - d),
-            [this](std::uint64_t old) {
-                return (++clock_ << kAddrBits) | (old & kAddrMask);
-            });
-        local = key & kAddrMask;
+        // Depth d = 1 is the most recently used entry, i.e. the
+        // (size - d)-th oldest mark. Moving it to the top leaves the
+        // size unchanged, so the maxResident bound needs no check.
+        std::uint64_t d = cfg_.depth.sample(rng_, size);
+        std::uint32_t pos =
+            onStack_.selectKth(static_cast<std::uint32_t>(size - d));
+        local = stack_.at(pos);
+        pop(pos);
+        push(local);
     }
 
     Access acc;

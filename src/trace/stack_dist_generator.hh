@@ -3,11 +3,14 @@
  * LRU-stack-distance trace generator.
  *
  * The generator maintains an exact LRU stack of previously touched
- * line addresses (an order-statistic treap keyed by last-touch time,
- * so re-referencing depth d costs O(log n)). Each access either
- * touches a brand-new address (probability pNew, modeling compulsory
- * misses / footprint growth) or re-references the address at a stack
- * depth drawn from a configurable distribution.
+ * line addresses on a RecencyIndex stamp axis
+ * (common/recency_index.hh): local addresses in touch order, plus
+ * one Fenwick tree marking the stamps still on the stack, so
+ * re-referencing depth d is one O(log n) select of the
+ * (size - d)-th oldest mark. Each access either touches a brand-new
+ * address (probability pNew, modeling compulsory misses / footprint
+ * growth) or re-references the address at a stack depth drawn from
+ * a configurable distribution.
  *
  * Stack-distance structure is exactly what determines an
  * application's miss curve and associativity sensitivity, which is
@@ -21,8 +24,9 @@
 #include <cstdint>
 #include <string>
 
-#include "common/order_stat_treap.hh"
+#include "common/fenwick.hh"
 #include "common/random.hh"
+#include "common/recency_index.hh"
 #include "trace/instr_gap.hh"
 #include "trace/trace_source.hh"
 
@@ -118,29 +122,32 @@ class StackDistGenerator : public TraceSource
     std::string name() const override { return "stackdist"; }
 
     /** Number of currently resident addresses (for tests). */
-    std::uint64_t resident() const { return stack_.size(); }
+    std::uint64_t resident() const { return onStack_.total(); }
 
   private:
-    /**
-     * Stack keys pack (touch time << 32 | local address), so the
-     * treap alone stores the whole stack: order follows touch time
-     * (strictly increasing), and the address rides along in the low
-     * bits. Bounds: < 2^32 accesses per generator and < 2^32
-     * distinct local addresses — ample for any workload here.
-     */
-    static constexpr unsigned kAddrBits = 32;
-    static constexpr std::uint64_t kAddrMask = (1ull << kAddrBits) - 1;
+    /** Axis payload of a stamp no longer on the stack. */
+    static constexpr std::uint32_t kNoAddr = 0xffffffffu;
 
-    std::uint64_t touch(Addr local);
+    /** Push `local` as the most recent entry. */
+    void push(std::uint32_t local);
+
+    /** Take the entry at `stamp` off the stack. */
+    void pop(std::uint32_t stamp);
+
+    /** Mark every stamp below stack_.end() (right after the prewarm
+     *  and after each compaction, the stack is exactly those). */
+    void markAll();
 
     StackDistConfig cfg_;
     Addr baseAddr_;
     Rng rng_;
     InstrGapSampler gap_;
 
-    /** Packed (time, addr) keys; larger time = more recent. */
-    OrderStatTreap<std::uint64_t> stack_;
-    std::uint64_t clock_ = 0;
+    /** Local address at each touch stamp, oldest first. Local
+     *  addresses are < 2^32 - 1 (kNoAddr). */
+    RecencyIndex<std::uint32_t, kNoAddr> stack_;
+    /** Marks the stamps whose entry is still on the stack. */
+    FenwickTree onStack_;
     Addr nextNewAddr_ = 0;
 };
 

@@ -29,6 +29,7 @@
 #include "common/random.hh"
 #include "sim/access_batch.hh"
 #include "sim/experiment.hh"
+#include "trace/stack_dist_generator.hh"
 
 namespace
 {
@@ -237,6 +238,34 @@ TEST(HotPathAlloc, SteadyStatePerAccessReplayAllocatesNothing)
 
     EXPECT_EQ(after - before, 0u)
         << "steady-state access() replay hit operator new "
+        << (after - before) << " time(s)";
+}
+
+/**
+ * The trace generator's per-access path is a hot root of its own:
+ * once constructed, next() must not touch the heap, including the
+ * stamp-axis compactions. The stack holds at most 1024 entries on a
+ * 2048-stamp axis, so the axis never doubles, and 20000 accesses
+ * append 20000 stamps — at least nine compactions.
+ */
+TEST(HotPathAlloc, StackDistGeneratorNextAllocatesNothing)
+{
+    StackDistConfig cfg;
+    cfg.pNew = 0.1;
+    cfg.depth = DepthDist::logUniform(1, 1024);
+    cfg.maxResident = 1024;
+    StackDistGenerator gen(cfg, 0, Rng(779));
+
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    Addr sum = 0;
+    for (int i = 0; i < 20000; ++i)
+        sum += gen.next().addr;
+    std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+    EXPECT_GT(sum, 0u);
+    EXPECT_EQ(gen.resident(), 1024u);
+    EXPECT_EQ(after - before, 0u)
+        << "StackDistGenerator::next hit operator new "
         << (after - before) << " time(s)";
 }
 

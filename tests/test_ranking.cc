@@ -171,34 +171,6 @@ TEST(RandomRanking, FreshDrawPerQuery)
     EXPECT_DOUBLE_EQ(r.exactFutility(0), 1.0);
 }
 
-TEST(RandomRanking, DeferredReKeysCollapseToSerialOrder)
-{
-    // Random is the treap base's monotone-clock client, so its hits
-    // defer re-keys into the pending ring
-    // (ranking/treap_ranking_base.hh) and flush before any rank
-    // query. A long hit run — with re-hits of the same lines and
-    // more entries than the ring's capacity, forcing mid-run
-    // flushes — must leave exactly the exact-LRU state of a twin
-    // that flushes after every hit (by interleaving a query).
-    RandomRanking rank(128, Rng(5));
-    RandomRanking twin(128, Rng(5));
-    for (LineId i = 0; i < 100; ++i) {
-        rank.onInstall(i, 0, kNeverUsed);
-        twin.onInstall(i, 0, kNeverUsed);
-    }
-    LineId id = 17;
-    for (int i = 0; i < 300; ++i) {
-        id = (id * 31 + 7) % 100; // includes repeats
-        rank.onHit(id, kNeverUsed);
-        twin.onHit(id, kNeverUsed);
-        (void)twin.exactFutility(id); // forces an immediate flush
-    }
-    EXPECT_EQ(rank.worstIn(0), twin.worstIn(0));
-    for (LineId i = 0; i < 100; ++i)
-        EXPECT_DOUBLE_EQ(rank.exactFutility(i), twin.exactFutility(i))
-            << "line " << i;
-}
-
 TEST(RankingFactory, BuildsAllKinds)
 {
     TagStore tags(16);

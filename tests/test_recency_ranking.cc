@@ -2,10 +2,11 @@
  * @file
  * Fenwick occupancy tree (common/fenwick.hh) and the Fenwick-backed
  * recency ranking base (ranking/recency_ranking_base.hh): the
- * primitive against a naive mark array, the full ranking against a
- * naive recency-list reference through randomized op sequences long
- * enough to force many stamp-axis renumberings, and the corruption
- * fault hook's detectability contract.
+ * primitive against a naive mark array, its bulk build against
+ * sequential marks, the full rankings (exact LRU and Random) against
+ * a naive recency-list reference through randomized op sequences
+ * long enough to force many stamp-axis renumberings, and the
+ * corruption fault hook's detectability contract.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/fenwick.hh"
 #include "common/random.hh"
 #include "ranking/exact_lru_ranking.hh"
+#include "ranking/random_ranking.hh"
 
 namespace fscache
 {
@@ -27,6 +29,7 @@ TEST(Fenwick, MatchesNaiveMarkArray)
 {
     constexpr std::uint32_t kCap = 64;
     FenwickTree fen(kCap);
+    FenwickTree bulk(kCap);
     std::vector<std::uint8_t> naive(kCap, 0);
     Rng rng(31);
     for (int round = 0; round < 4000; ++round) {
@@ -39,37 +42,53 @@ TEST(Fenwick, MatchesNaiveMarkArray)
             naive[pos] = 1;
         }
 
-        std::uint32_t want_total = 0;
-        std::uint32_t first = kCap;
+        std::vector<std::uint32_t> marked;
         for (std::uint32_t p = 0; p < kCap; ++p) {
-            if (!naive[p])
-                continue;
-            ++want_total;
-            first = std::min(first, p);
+            if (naive[p])
+                marked.push_back(p);
         }
-        ASSERT_EQ(fen.total(), want_total);
+        ASSERT_EQ(fen.total(), marked.size());
         std::uint32_t probe = rng.below(kCap + 1);
         std::uint32_t want_below = 0;
         for (std::uint32_t p = 0; p < probe; ++p)
             want_below += naive[p];
         ASSERT_EQ(fen.countBelow(probe), want_below) << probe;
-        if (want_total > 0) {
-            ASSERT_EQ(fen.firstMarked(), first);
+        if (!marked.empty()) {
+            ASSERT_EQ(fen.selectKth(0), marked.front());
+            auto k = static_cast<std::uint32_t>(
+                rng.below(marked.size()));
+            ASSERT_EQ(fen.selectKth(k), marked[k]) << k;
         }
+
+        // A bulk build over a random prefix must equal marking the
+        // same positions one by one: every prefix count and select
+        // agrees.
+        std::uint32_t n = rng.below(kCap + 1);
+        bulk.build(n, [&](std::uint32_t p) { return naive[p] != 0; });
+        FenwickTree seq(kCap);
+        for (std::uint32_t p = 0; p < n; ++p) {
+            if (naive[p])
+                seq.mark(p);
+        }
+        ASSERT_EQ(bulk.total(), seq.total());
+        for (std::uint32_t p = 0; p <= kCap; ++p)
+            ASSERT_EQ(bulk.countBelow(p), seq.countBelow(p)) << p;
+        for (std::uint32_t k = 0; k < seq.total(); ++k)
+            ASSERT_EQ(bulk.selectKth(k), seq.selectKth(k)) << k;
     }
 }
 
-TEST(Fenwick, ClearKeepsCapacity)
+TEST(Fenwick, EmptyBuildKeepsCapacity)
 {
     FenwickTree fen(16);
     fen.mark(3);
     fen.mark(9);
-    fen.clear();
+    fen.build(0, [](std::uint32_t) { return true; });
     EXPECT_EQ(fen.total(), 0u);
     EXPECT_EQ(fen.capacity(), 16u);
     EXPECT_EQ(fen.countBelow(16), 0u);
     fen.mark(15);
-    EXPECT_EQ(fen.firstMarked(), 15u);
+    EXPECT_EQ(fen.selectKth(0), 15u);
 }
 
 /**
@@ -165,18 +184,16 @@ class NaiveRecency
 };
 
 /**
- * Drive ExactLruRanking (the thinnest RecencyRankingBase client: its
- * futilities ARE the base's ranks) and the naive reference through
+ * Drive a RecencyRankingBase client and the naive reference through
  * the same randomized install/hit/evict/retag/relocate sequence,
  * comparing every query after every op. 6000 ops over 24 line slots
  * churn through the stamp axis (capacity 64) dozens of times, so
  * the renumbering path runs under every op mix.
  */
-TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
+void
+checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
 {
-    constexpr LineId kLines = 24;
     constexpr PartId kParts = 3;
-    ExactLruRanking rank(kLines);
     NaiveRecency naive;
     Rng rng(4242);
 
@@ -187,10 +204,11 @@ TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
 
     for (int op = 0; op < 6000; ++op) {
         std::uint32_t kind = rng.below(10);
-        if (naive.lines() == 0 || (kind < 3 && naive.lines() < kLines)) {
+        if (naive.lines() == 0 ||
+            (kind < 3 && naive.lines() < num_lines)) {
             LineId id;
             do {
-                id = rng.below(kLines);
+                id = rng.below(num_lines);
             } while (naive.contains(id));
             auto part = static_cast<PartId>(rng.below(kParts));
             rank.onInstall(id, part, kNeverUsed);
@@ -208,11 +226,11 @@ TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
             auto part = static_cast<PartId>(rng.below(kParts));
             rank.onRetag(id, part);
             naive.retag(id, part);
-        } else if (naive.lines() < kLines) {
+        } else if (naive.lines() < num_lines) {
             LineId from = randomPresent();
             LineId to;
             do {
-                to = rng.below(kLines);
+                to = rng.below(num_lines);
             } while (naive.contains(to));
             rank.onRelocate(from, to);
             naive.relocate(from, to);
@@ -237,6 +255,22 @@ TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
                 << "op " << op << " line " << id;
         }
     }
+}
+
+/** ExactLruRanking is the thinnest client: its futilities ARE the
+ *  base's ranks. */
+TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
+{
+    ExactLruRanking rank(24);
+    checkAgainstNaive(rank, 24);
+}
+
+/** Random keeps its exact order on the same base; relocate and retag
+ *  must carry a line's recency exactly as the naive list does. */
+TEST(RecencyBase, RandomMatchesNaiveReferenceThroughRenumbering)
+{
+    RandomRanking rank(24, Rng(5));
+    checkAgainstNaive(rank, 24);
 }
 
 TEST(RecencyBase, SingleLineSurvivesEndlessTouches)

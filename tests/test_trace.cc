@@ -113,6 +113,59 @@ TEST(StackDistGenerator, ResidencyBounded)
     EXPECT_LE(g.resident(), 64u);
 }
 
+/** 64-bit FNV-1a over the first `n` accesses' address and
+ *  instruction-gap bytes (little-endian, field by field). */
+std::uint64_t
+traceDigest(StackDistGenerator &g, int n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (int i = 0; i < n; ++i) {
+        Access a = g.next();
+        mix(a.addr, 8);
+        mix(a.instrGap, 4);
+    }
+    return h;
+}
+
+TEST(StackDistGenerator, GoldenOutputConstants)
+{
+    // Pins generator output to constants, not just to a twin
+    // instance: any change to the recency structure behind the
+    // stack, the RNG draw order or the prewarm shows up here.
+    StackDistConfig mcf;
+    mcf.pNew = 0.05;
+    mcf.depth = DepthDist::logUniform(1, 1ull << 20);
+    mcf.maxResident = 1ull << 21;
+    mcf.meanInstrGap = 25;
+    StackDistGenerator warm(mcf, 0x1000000, Rng(2024));
+    EXPECT_EQ(traceDigest(warm, 200000),
+              0x456c0ba05857c6f7ull);
+
+    StackDistConfig cold = mcf;
+    cold.prewarm = false;
+    StackDistGenerator unwarmed(cold, 0, Rng(2025));
+    EXPECT_EQ(traceDigest(unwarmed, 200000),
+              0x3240cb190dd9e8c6ull);
+
+    // A small resident bound: every new address evicts the oldest,
+    // and the recency structure turns over its 2048 entries about a
+    // hundred times.
+    StackDistConfig small;
+    small.pNew = 0.2;
+    small.depth = DepthDist::logUniform(1, 4096);
+    small.maxResident = 2048;
+    StackDistGenerator bounded(small, 0, Rng(2026));
+    EXPECT_EQ(traceDigest(bounded, 200000),
+              0x6f1298819fbbec5dull);
+    EXPECT_EQ(bounded.resident(), 2048u);
+}
+
 TEST(StackDistGenerator, DepthDistributionRoughlyLogUniform)
 {
     // With depths log-uniform on [1, 1024], about half the draws

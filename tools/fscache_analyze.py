@@ -9,7 +9,8 @@ Passes
 ------
 no-alloc-on-hot-path
     Walks the call graph from the hot roots
-    (fscache::PartitionedCache::access / ::accessBatch) and reports
+    (fscache::PartitionedCache::access / ::accessBatch, and
+    fscache::StackDistGenerator::next) and reports
     every reachable heap allocation: operator new, the malloc
     family, make_unique/make_shared, and growth calls on allocating
     std:: containers (push_back, resize, ...). Functions marked
@@ -103,10 +104,12 @@ from pathlib import Path
 # victim-selection kernels (common/simd.hh) run on every miss but
 # are reached through a function-pointer dispatch table the walker
 # cannot follow, so each backend's entry points are roots of their
-# own.
+# own. Trace generation runs once per access too, and the
+# stack-distance generator dominates it.
 HOT_ROOTS = (
     "fscache::PartitionedCache::access",
     "fscache::PartitionedCache::accessBatch",
+    "fscache::StackDistGenerator::next",
     "fscache::simd::scalar::argmaxPlain",
     "fscache::simd::scalar::argmaxMasked",
     "fscache::simd::scalar::argmaxScaled",
