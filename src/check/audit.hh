@@ -10,8 +10,9 @@
  *   cheap     O(#partitions) occupancy-sum audits on a stride, plus
  *             inline bound checks in the analytic solver / feedback
  *             scheme. Safe for production sweeps.
- *   paranoid  cheap + full structural audits on a stride: treap
- *             heap/order/size invariants, FlatMap probe chains,
+ *   paranoid  cheap + full structural audits on a stride:
+ *             order-statistic index order/count/pool invariants,
+ *             Fenwick recency state, FlatMap probe chains,
  *             tag-store index bijection, ranking<->tag-store
  *             cross-consistency.
  *

@@ -2,8 +2,8 @@
  * @file
  * Cross-structure invariant audits (FS_AUDIT; see check/audit.hh).
  *
- * The per-structure audits (FlatMap / OrderStatTreap / TagStore /
- * TreapRankingBase / RecencyRankingBase ::auditInvariants()) verify
+ * The per-structure audits (FlatMap / OrderStatIndex / TagStore /
+ * KeyedRankingBase / RecencyRankingBase ::auditInvariants()) verify
  * each structure
  * against itself; the functions here verify the structures against
  * *each other* — the facade-level bookkeeping PartitionedCache is

@@ -123,7 +123,7 @@ FaultInjector::parse(const std::string &spec)
         } else if (action == "corrupt") {
             c.kind = Kind::Corrupt;
         } else if (action == "corrupt-treap") {
-            c.kind = Kind::CorruptTreap;
+            c.kind = Kind::CorruptRankOrder;
         } else if (action == "corrupt-occ") {
             c.kind = Kind::CorruptOcc;
         } else if (action == "segv") {
@@ -250,8 +250,8 @@ FaultInjector::fire(std::size_t cell, unsigned attempt) const
             // mid-cell.
             t_corruptArmed = CorruptTarget::AddrIndex;
             break;
-          case Kind::CorruptTreap:
-            t_corruptArmed = CorruptTarget::RankTreap;
+          case Kind::CorruptRankOrder:
+            t_corruptArmed = CorruptTarget::RankOrder;
             break;
           case Kind::CorruptOcc:
             t_corruptArmed = CorruptTarget::Occupancy;

@@ -15,9 +15,11 @@
  *                             mid-cell (detected only by FS_AUDIT /
  *                             FS_SHADOW; see docs/ROBUSTNESS.md)
  *     cell=<n>:corrupt-treap  silently inflate the ranking's order
- *                             structure size mid-cell (treap root
- *                             subtree size, or the recency base's
- *                             resident counter)
+ *                             structure size mid-cell (the keyed
+ *                             rankings' order-statistic index size
+ *                             counter, or the recency base's
+ *                             resident counter; the arm keeps its
+ *                             historical name)
  *     cell=<n>:corrupt-occ    silently inflate a partition occupancy
  *                             counter mid-cell
  *     cell=<n>:segv           real segfault (guarded null store) at
@@ -54,7 +56,7 @@
  * local target (it must not throw — corruption is silent by
  * definition); PartitionedCache consumes the target at its next
  * watchdog stride and desynchronizes the matching structure (tag
- * index, ranking treap, or occupancy counter — together covering
+ * index, ranking order, or occupancy counter — together covering
  * every FS_AUDIT arm end to end). Arming is per-thread and fire()
  * re-disarms at the top of every cell attempt, so a target armed
  * for a short cell that never consumed it cannot leak into the next
@@ -88,14 +90,14 @@ class FaultInjector
     /**
      * Which structure an armed corrupt* clause targets. Each value
      * maps one grammar action onto one audited structure:
-     * corrupt -> AddrIndex, corrupt-treap -> RankTreap,
+     * corrupt -> AddrIndex, corrupt-treap -> RankOrder,
      * corrupt-occ -> Occupancy.
      */
     enum class CorruptTarget : std::uint8_t
     {
         None,
         AddrIndex,
-        RankTreap,
+        RankOrder,
         Occupancy,
     };
 
@@ -158,7 +160,7 @@ class FaultInjector
         Hang,
         Transient,
         Corrupt,
-        CorruptTreap,
+        CorruptRankOrder,
         CorruptOcc,
         Segv,
         Spin,

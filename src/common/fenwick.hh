@@ -7,11 +7,10 @@
  *
  * This is the order structure over a RecencyIndex's stamp axis
  * (common/recency_index.hh): positions are recency stamps, marks
- * are resident entries, prefix counts are exact LRU ranks. Compared
- * to an order-statistic treap, a Fenwick walk touches log2(C)
- * contiguous array words instead of chasing log2(N) heap-allocated
- * node pointers, and needs no rebalancing state (no priorities, no
- * RNG).
+ * are resident entries, prefix counts are exact LRU ranks. A
+ * Fenwick walk touches log2(C) contiguous array words and needs no
+ * rebalancing state; orders whose keys move both ways use the
+ * blocked index in common/order_stat_index.hh instead.
  */
 
 #ifndef FSCACHE_COMMON_FENWICK_HH

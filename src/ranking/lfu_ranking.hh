@@ -3,6 +3,12 @@
  * LFU futility ranking: lines ranked by access frequency, recency
  * breaking ties (so the ranking stays a strict total order, as the
  * paper's model requires).
+ *
+ * The frequency and a global clock pack into one usefulness key;
+ * KeyedRankingBase keeps the keys in one order-statistic index per
+ * partition (common/order_stat_index.hh), so every candidate's
+ * futility is its exact rank. A hit raises the key, which moves the
+ * line within or across the index's leaf blocks.
  */
 
 #ifndef FSCACHE_RANKING_LFU_RANKING_HH
@@ -12,17 +18,17 @@
 
 #include <span>
 
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/keyed_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class LfuRanking : public TreapRankingBase
+class LfuRanking : public KeyedRankingBase
 {
   public:
     explicit LfuRanking(LineId num_lines)
-        : TreapRankingBase(num_lines), freq_(num_lines, 0)
+        : KeyedRankingBase(num_lines), freq_(num_lines, 0)
     {
     }
 
@@ -44,7 +50,7 @@ class LfuRanking : public TreapRankingBase
     void
     onRelocate(LineId from, LineId to) override
     {
-        TreapRankingBase::onRelocate(from, to);
+        KeyedRankingBase::onRelocate(from, to);
         // The frequency is line metadata and must follow the line,
         // or a zcache relocation leaves the moved line counting
         // from whatever stale value the destination slot last held.

@@ -5,6 +5,12 @@
  * futile, never-reused lines most of all (paper Section III.A).
  *
  * Requires traces annotated by annotateNextUse().
+ *
+ * The next use maps to a usefulness key, and KeyedRankingBase keeps
+ * the keys in one order-statistic index per partition
+ * (common/order_stat_index.hh), so every candidate's futility is its
+ * exact rank. Never-used lines share primary 0 and are ordered by
+ * line id. Each hit re-keys the line to an arbitrary new position.
  */
 
 #ifndef FSCACHE_RANKING_OPT_RANKING_HH
@@ -12,17 +18,17 @@
 
 #include <span>
 
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/keyed_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class OptRanking : public TreapRankingBase
+class OptRanking : public KeyedRankingBase
 {
   public:
     explicit OptRanking(LineId num_lines)
-        : TreapRankingBase(num_lines)
+        : KeyedRankingBase(num_lines)
     {
     }
 

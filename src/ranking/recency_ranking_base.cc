@@ -115,8 +115,8 @@ RecencyRankingBase::onRetag(LineId id, PartId new_part)
     fs_assert(present_[id], "retag of an absent line");
     // The line keeps its stamp — its recency relative to every other
     // line is unchanged — but its mark moves between the partition
-    // Fenwicks, exactly like the treap key moving between treaps
-    // with its old primary.
+    // Fenwicks, exactly like a keyed ranking's key moving between
+    // partition indexes with its old primary.
     PartId old_part = partOf_[id];
     std::uint32_t pos = stampOf_[id];
     ensurePart(new_part);
@@ -174,9 +174,9 @@ RecencyRankingBase::partLines(PartId part) const
 bool
 RecencyRankingBase::corruptRankNodeForFaultInjection()
 {
-    // The recency analog of the treap's root-size bump (the treap's
-    // size() IS its root size): silently inflate the first non-empty
-    // partition's resident-line counter. Navigation never reads it
+    // The recency analog of the keyed rankings' index size bump:
+    // silently inflate the first non-empty partition's resident-line
+    // counter. Navigation never reads it
     // (see worstIn), so the damage is crash-safe and visible only to
     // the occupancy-sum audit and the deep self-audit below.
     for (std::uint32_t &size : size_) {

@@ -5,8 +5,8 @@
  * newest end, nothing ever re-keys to the middle (exact LRU, the
  * coarse-timestamp LRU's exact shadow order, Random's exact order).
  *
- * That monotonicity admits a much cheaper order structure than the
- * general order-statistic treap (ranking/treap_ranking_base.hh):
+ * That monotonicity admits a cheaper order structure than the
+ * general order-statistic index (ranking/keyed_ranking_base.hh):
  * lines are laid out on a RecencyIndex stamp axis
  * (common/recency_index.hh) and a per-partition Fenwick tree
  * (common/fenwick.hh) counts resident lines per stamp prefix. Exact
@@ -15,13 +15,12 @@
  * O(log capacity) over contiguous arrays — no node allocation, no
  * pointer chasing, no rebalancing.
  *
- * Byte-identity with the treap-backed order it replaces: stamps are
- * assigned in call order, exactly the order of the strictly
- * increasing usefulness clocks the treap keys encoded, and relocate
- * and retag keep a line's stamp just as the treap kept its old
- * primary, so every rank is the identical integer and every
- * futility the identical double. (Rankings with non-monotone keys —
- * LFU, OPT, RRIP — stay on TreapRankingBase.)
+ * Byte-identity with a keyed order: stamps are assigned in call
+ * order, exactly the order of strictly increasing usefulness clocks,
+ * and relocate and retag keep a line's stamp just as a keyed ranking
+ * keeps its primary, so every rank is the identical integer and
+ * every futility the identical double. (Rankings with non-monotone
+ * keys — LFU, OPT, RRIP — use KeyedRankingBase.)
  */
 
 #ifndef FSCACHE_RANKING_RECENCY_RANKING_BASE_HH
@@ -102,7 +101,7 @@ class RecencyRankingBase : public FutilityRanking
     /** Per-partition resident-line counts. Kept separate from the
      *  Fenwick totals so the corruption fault hook has an
      *  independently-auditable counter to damage (mirroring the
-     *  treap's root-size arm). */
+     *  keyed rankings' index size counter). */
     std::vector<std::uint32_t> size_;
     std::vector<PartId> partOf_;
     /**

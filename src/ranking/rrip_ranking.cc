@@ -6,7 +6,7 @@ namespace fscache
 {
 
 RripRanking::RripRanking(LineId num_lines, std::uint32_t rrpv_bits)
-    : TreapRankingBase(num_lines),
+    : KeyedRankingBase(num_lines),
       rrpvMax_((1u << rrpv_bits) - 1), rrpv_(num_lines, 0),
       lastTouch_(num_lines, 0)
 {

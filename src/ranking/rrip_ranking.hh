@@ -13,6 +13,10 @@
  *
  * Scheme futility is RRPV / (2^M - 1), with the exact per-partition
  * LRU shadow breaking ties for worst-line queries and statistics.
+ * That exact order ("RRIP with LRU tie-break") lives in
+ * KeyedRankingBase's per-partition order-statistic index
+ * (common/order_stat_index.hh); the scheme futility itself reads only
+ * the per-line RRPV and last-touch arrays.
  */
 
 #ifndef FSCACHE_RANKING_RRIP_RANKING_HH
@@ -21,13 +25,13 @@
 #include <span>
 #include <vector>
 
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/keyed_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class RripRanking : public TreapRankingBase
+class RripRanking : public KeyedRankingBase
 {
   public:
     /**
@@ -56,7 +60,7 @@ class RripRanking : public TreapRankingBase
     void
     onRelocate(LineId from, LineId to) override
     {
-        TreapRankingBase::onRelocate(from, to);
+        KeyedRankingBase::onRelocate(from, to);
         // RRPV and last-touch are line metadata and must follow the
         // line, or a zcache relocation leaves the moved line
         // predicted by the destination slot's stale state.
@@ -83,8 +87,7 @@ class RripRanking : public TreapRankingBase
     }
 
     /** Batched estimate off the rrpv_/lastTouch_ arrays; the
-     *  estimate never reads the exact-order treap, so no
-     *  pending-re-key flush is needed here. */
+     *  estimate never reads the exact-order index. */
     void
     schemeFutilityMany(std::span<const LineId> ids,
                        double *out) const override

@@ -32,7 +32,7 @@ constexpr std::uint64_t kAuditStrideMask = 0x3ff; // every 1024
  * Batched-replay look-ahead, in records: while record i resolves,
  * the address-index home slot of record i+K is prefetched. Large
  * enough to cover a DRAM load behind the per-record work (a hit is
- * ~a treap reKey, tens of ns), small enough that the prefetched
+ * ~a ranking reKey, tens of ns), small enough that the prefetched
  * line is still resident when its record arrives. Tuned on the
  * micro_sweep_throughput workloads; see docs/PERF.md.
  */
@@ -387,7 +387,7 @@ PartitionedCache::pollSlowChecks()
       case FaultInjector::CorruptTarget::AddrIndex:
         array_->tags().corruptAddrIndexForFaultInjection();
         break;
-      case FaultInjector::CorruptTarget::RankTreap:
+      case FaultInjector::CorruptTarget::RankOrder:
         ranking_->corruptRankNodeForFaultInjection();
         break;
       case FaultInjector::CorruptTarget::Occupancy:

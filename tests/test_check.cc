@@ -1,7 +1,8 @@
 /**
  * @file
  * Self-checking subsystem tests (src/check): structural invariant
- * auditors against hand-corrupted FlatMap / treap / TagStore state,
+ * auditors against hand-corrupted FlatMap / order-statistic index /
+ * TagStore state,
  * lockstep shadow-model divergence detection and its deterministic
  * first-divergence report, corruption-aware quarantine routing
  * through the cell guard (FS_FAULTS cell=N:corrupt end to end), and
@@ -22,7 +23,7 @@
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/flat_map.hh"
-#include "common/order_stat_treap.hh"
+#include "common/order_stat_index.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 
@@ -65,42 +66,31 @@ struct FlatMap<std::uint32_t>::TestAccess
 };
 
 template <>
-struct OrderStatTreap<std::uint64_t>::TestAccess
+struct OrderStatIndex<std::uint64_t>::TestAccess
 {
-    using Treap = OrderStatTreap<std::uint64_t>;
+    using Index = OrderStatIndex<std::uint64_t>;
 
-    /** Give the root's first child a priority above its parent. */
+    /** Directory entry 1 counts one key too many before it. */
+    static void breakCount(Index &t) { ++t.before_[1]; }
+
+    /** Swap the first key of entry 1's block below the last key of
+     *  entry 0's block (first key cache kept in step). */
     static void
-    breakHeap(Treap &t)
+    breakKeyOrderAcrossBlocks(Index &t)
     {
-        Node &r = t.nodes_[t.root_];
-        std::uint32_t child = r.left != kNil ? r.left : r.right;
-        ASSERT_NE(child, kNil);
-        t.nodes_[child].prio = r.prio + 1;
+        auto &b = t.blocks_[t.blockOf_[1]];
+        b.keys[0] = t.first_[0];
+        t.first_[1] = b.keys[0];
     }
 
-    static void
-    breakSubtreeSize(Treap &t)
-    {
-        ++t.nodes_[t.root_].size;
-    }
+    /** The directory's cached first key of entry 1 goes stale. */
+    static void breakFirstKey(Index &t) { ++t.first_[1]; }
 
+    /** A live block is also put on the free list. */
     static void
-    breakKeyOrder(Treap &t)
+    breakPool(Index &t)
     {
-        // Make the cached-min (leftmost) node's key the largest.
-        t.nodes_[t.minNode_].key = ~0ull;
-    }
-
-    /** Point the cached min at the rightmost (largest-key) node,
-     *  which can never be the leftmost one for size >= 2. */
-    static void
-    breakCachedMin(Treap &t)
-    {
-        std::uint32_t n = t.root_;
-        while (t.nodes_[n].right != kNil)
-            n = t.nodes_[n].right;
-        t.minNode_ = n;
+        t.freeList_.push_back(t.blockOf_[0]);
     }
 };
 
@@ -121,7 +111,7 @@ class CheckFixture : public ::testing::Test
 };
 
 using FlatMapAudit = CheckFixture;
-using TreapAudit = CheckFixture;
+using IndexAudit = CheckFixture;
 using TagStoreAudit = CheckFixture;
 using ShadowModel = CheckFixture;
 using CorruptionInjection = CheckFixture;
@@ -198,55 +188,68 @@ TEST_F(FlatMapAudit, DuplicateKeyDetected)
               std::string::npos);
 }
 
-TEST_F(TreapAudit, CleanTreapPassesThroughChurn)
+TEST_F(IndexAudit, CleanIndexPassesThroughChurn)
 {
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 0; k < 200; ++k)
+    OrderStatIndex<std::uint64_t> t;
+    for (std::uint64_t k = 0; k < 2000; ++k)
         t.insert(k * 3 + 1);
-    for (std::uint64_t k = 0; k < 100; ++k)
+    for (std::uint64_t k = 0; k < 1000; ++k)
         t.erase(k * 6 + 1);
     EXPECT_EQ(t.auditInvariants(), "");
-    EXPECT_EQ(OrderStatTreap<std::uint64_t>().auditInvariants(), "");
+    EXPECT_EQ(OrderStatIndex<std::uint64_t>().auditInvariants(), "");
 }
 
-TEST_F(TreapAudit, HeapViolationDetected)
+/** Several blocks, so every directory arm has a boundary to test. */
+OrderStatIndex<std::uint64_t>
+multiBlockIndex()
 {
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakHeap(t);
-    EXPECT_NE(t.auditInvariants().find("heap violation"),
+    OrderStatIndex<std::uint64_t> t;
+    for (std::uint64_t k = 1; k <= 200; ++k)
+        t.insert(k * 2);
+    return t;
+}
+
+TEST_F(IndexAudit, CountDriftDetected)
+{
+    auto t = multiBlockIndex();
+    OrderStatIndex<std::uint64_t>::TestAccess::breakCount(t);
+    EXPECT_NE(t.auditInvariants().find("count drift"),
               std::string::npos);
 }
 
-TEST_F(TreapAudit, SubtreeSizeDriftDetected)
+TEST_F(IndexAudit, KeyOrderAcrossBlocksDetected)
 {
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakSubtreeSize(t);
-    EXPECT_NE(t.auditInvariants().find("subtree size"),
+    auto t = multiBlockIndex();
+    OrderStatIndex<std::uint64_t>::TestAccess::
+        breakKeyOrderAcrossBlocks(t);
+    EXPECT_NE(t.auditInvariants().find("key order violation across"),
               std::string::npos);
 }
 
-TEST_F(TreapAudit, KeyOrderViolationDetected)
+TEST_F(IndexAudit, StaleFirstKeyDetected)
 {
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakKeyOrder(t);
-    EXPECT_NE(t.auditInvariants().find("key order"),
+    auto t = multiBlockIndex();
+    OrderStatIndex<std::uint64_t>::TestAccess::breakFirstKey(t);
+    EXPECT_NE(t.auditInvariants().find("stale first key"),
               std::string::npos);
 }
 
-TEST_F(TreapAudit, StaleCachedMinDetected)
+TEST_F(IndexAudit, PoolAccountingDetected)
 {
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakCachedMin(t);
-    EXPECT_NE(t.auditInvariants().find("cached min"),
+    auto t = multiBlockIndex();
+    OrderStatIndex<std::uint64_t>::TestAccess::breakPool(t);
+    EXPECT_NE(t.auditInvariants().find("pool accounting"),
               std::string::npos);
+}
+
+TEST_F(IndexAudit, InflatedSizeDetected)
+{
+    auto t = multiBlockIndex();
+    ASSERT_TRUE(t.corruptSizeForFaultInjection());
+    EXPECT_NE(t.auditInvariants().find("size counter"),
+              std::string::npos);
+    EXPECT_FALSE(OrderStatIndex<std::uint64_t>()
+                     .corruptSizeForFaultInjection());
 }
 
 TEST_F(TagStoreAudit, IndexCorruptionCaughtByDeepAudit)
@@ -320,7 +323,7 @@ TEST_F(ShadowModel, CleanRunStaysInLockstepForAllRankings)
 /** Regression: zcache relocations must carry the rankings' per-line
  *  metadata (LFU frequency, RRIP RRPV/last-touch, coarse timestamp)
  *  to the destination slot. The stranded-metadata bug this pins was
- *  found by this very shadow model: the treap key moved with the
+ *  found by this very shadow model: the rank key moved with the
  *  line but freq_/rrpv_/ts_ stayed behind, so the next hit on a
  *  relocated line re-keyed from the old occupant's state. */
 TEST_F(ShadowModel, ZcacheRelocationsStayInLockstep)
@@ -452,27 +455,31 @@ TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
 }
 
 /** The ranking-order arm: a silent size bump (the recency base's
- *  resident counter; for treap-backed rankings, the root's subtree
- *  size) is navigation-safe — descents and worstIn never read the
+ *  resident counter; for the keyed rankings, the index's size
+ *  counter) is navigation-safe — descents and worstIn never read the
  *  damaged counter — so only the audits can see it. */
 TEST_F(CorruptionInjection, RankTreapCorruptionDetectedByAudits)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    auto cache = buildCache(checkSpec());
-    cache->setTargets({128, 128});
-    driveCyclic(*cache, 1500, /*footprint=*/100);
-    ASSERT_TRUE(cache->ranking().corruptRankNodeForFaultInjection());
-    EXPECT_NE(check::auditOccupancySums(cache->array().tags(),
-                                        cache->ranking(),
-                                        cache->numPartitions()),
-              "");
-    // The damage sits in partition 0's counter (the first non-empty
-    // one). Touch the *other* partition so the cross-structure sum
-    // audit sees the drift before partition 0's own bookkeeping is
-    // exercised — exactly how the stride audits catch it in a live
-    // run.
-    EXPECT_THROW(cache->access(1, 2 * 100000 + 1),
-                 StateCorruptionError);
+    for (RankKind rk : {RankKind::ExactLru, RankKind::Lfu}) {
+        auto cache = buildCache(checkSpec(rk));
+        cache->setTargets({128, 128});
+        driveCyclic(*cache, 1500, /*footprint=*/100);
+        ASSERT_TRUE(cache->ranking().corruptRankNodeForFaultInjection());
+        EXPECT_NE(check::auditOccupancySums(cache->array().tags(),
+                                            cache->ranking(),
+                                            cache->numPartitions()),
+                  "");
+        EXPECT_NE(cache->ranking().auditInvariants(), "");
+        // The damage sits in partition 0's counter (the first
+        // non-empty one). Touch the *other* partition so the
+        // cross-structure sum audit sees the drift before partition
+        // 0's own bookkeeping is exercised — exactly how the stride
+        // audits catch it in a live run.
+        EXPECT_THROW(cache->access(1, 2 * 100000 + 1),
+                     StateCorruptionError)
+            << "ranking kind " << static_cast<int>(rk);
+    }
 }
 
 /** The occupancy-counter arm: a drifted per-partition size feeds

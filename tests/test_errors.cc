@@ -9,7 +9,7 @@
 #include "analytic/scaling_solver.hh"
 #include "cache/set_assoc_array.hh"
 #include "cache/tag_store.hh"
-#include "common/order_stat_treap.hh"
+#include "common/order_stat_index.hh"
 #include "sim/experiment.hh"
 #include "stats/table_printer.hh"
 
@@ -20,24 +20,43 @@ namespace
 
 using ErrorDeathTest = ::testing::Test;
 
-TEST(ErrorDeathTest, TreapEraseAbsentKey)
+TEST(ErrorDeathTest, IndexEraseAbsentKey)
 {
-    OrderStatTreap<std::uint64_t> t;
+    OrderStatIndex<std::uint64_t> t;
     t.insert(1);
     EXPECT_DEATH(t.erase(2), "assertion");
 }
 
-TEST(ErrorDeathTest, TreapKthOutOfRange)
+TEST(ErrorDeathTest, IndexEraseFromEmpty)
 {
-    OrderStatTreap<std::uint64_t> t;
+    OrderStatIndex<std::uint64_t> t;
+    EXPECT_DEATH(t.erase(2), "assertion");
+}
+
+TEST(ErrorDeathTest, IndexReKeyAbsentKey)
+{
+    OrderStatIndex<std::uint64_t> t;
+    t.insert(1);
+    EXPECT_DEATH(t.reKey(2, 3), "assertion");
+}
+
+TEST(ErrorDeathTest, IndexKthOutOfRange)
+{
+    OrderStatIndex<std::uint64_t> t;
     t.insert(1);
     EXPECT_DEATH(t.kth(1), "assertion");
 }
 
-TEST(ErrorDeathTest, TreapMinOfEmpty)
+TEST(ErrorDeathTest, IndexMinOfEmpty)
 {
-    OrderStatTreap<std::uint64_t> t;
+    OrderStatIndex<std::uint64_t> t;
     EXPECT_DEATH(t.minKey(), "assertion");
+}
+
+TEST(ErrorDeathTest, IndexMaxOfEmpty)
+{
+    OrderStatIndex<std::uint64_t> t;
+    EXPECT_DEATH(t.maxKey(), "assertion");
 }
 
 TEST(ErrorDeathTest, TagStoreDoubleInstall)

@@ -2,8 +2,9 @@
  * @file
  * Runtime witness for the no-alloc-on-hot-path contract that
  * tools/fscache_analyze.py checks statically: after a warmup replay
- * has grown every amortized buffer (treap node pools, candidate
- * buffers, batch outcome vectors, eviction free lists) to its
+ * has grown every amortized buffer (order-statistic index block
+ * pools and directories, candidate buffers, batch outcome vectors,
+ * eviction free lists) to its
  * high-water mark, a steady-state accessBatch() replay of the same
  * stream must perform ZERO heap allocations.
  *
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.hh"
@@ -240,6 +242,77 @@ TEST(HotPathAlloc, SteadyStatePerAccessReplayAllocatesNothing)
         << "steady-state access() replay hit operator new "
         << (after - before) << " time(s)";
 }
+
+/**
+ * The keyed rankings (OPT, LFU, RRIP) keep one blocked
+ * order-statistic index per partition, whose block pool and
+ * directory grow by amortized doubling. Pass 1 grows them to high
+ * water; pass 2 replays the same stream and must make zero calls to
+ * operator new, through every split, merge and cross-block re-key.
+ * The cache is large enough for dozens of blocks per partition, and
+ * the stream's next-use annotations make OPT re-key lines to
+ * arbitrary positions.
+ */
+class KeyedRankingHotAlloc : public ::testing::TestWithParam<RankKind>
+{
+};
+
+TEST_P(KeyedRankingHotAlloc, SteadyStateReplayAllocatesNothing)
+{
+    if (std::getenv("FS_AUDIT") != nullptr ||
+        std::getenv("FS_SHADOW") != nullptr)
+        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
+
+    constexpr std::size_t kStream = 60000;
+    constexpr std::size_t kBatch = 512;
+    Rng rng(780);
+    std::vector<PartId> parts(kStream);
+    std::vector<Addr> addrs(kStream);
+    std::vector<AccessTime> nextUse(kStream, kNeverUsed);
+    for (std::size_t i = 0; i < kStream; ++i) {
+        parts[i] = static_cast<PartId>(rng.below(2));
+        addrs[i] = (parts[i] + 1) * 1000000 + rng.below(3000) * 64;
+    }
+    std::unordered_map<Addr, std::size_t> seen;
+    for (std::size_t i = kStream; i-- > 0;) {
+        auto it = seen.find(addrs[i]);
+        if (it != seen.end())
+            nextUse[i] = it->second;
+        seen[addrs[i]] = i;
+    }
+
+    CacheSpec spec = hotSpec();
+    spec.array.numLines = 4096;
+    spec.ranking = GetParam();
+    auto cache = buildCache(spec);
+    cache->setTargets({2048, 2048});
+
+    AccessBatch batch;
+    batch.reserve(kBatch);
+    auto replay = [&] {
+        for (std::size_t base = 0; base < kStream; base += kBatch) {
+            batch.clear();
+            std::size_t end = std::min(base + kBatch, kStream);
+            for (std::size_t i = base; i < end; ++i)
+                batch.push(parts[i], addrs[i], nextUse[i]);
+            cache->accessBatch(batch);
+        }
+    };
+
+    replay(); // warmup: the pools grow to high water
+
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    replay();
+    std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(after - before, 0u)
+        << cache->ranking().name() << " steady-state replay hit "
+        << "operator new " << (after - before) << " time(s)";
+}
+
+INSTANTIATE_TEST_SUITE_P(Rankings, KeyedRankingHotAlloc,
+                         ::testing::Values(RankKind::Opt, RankKind::Lfu,
+                                           RankKind::Rrip));
 
 /**
  * The trace generator's per-access path is a hot root of its own:
