@@ -135,7 +135,7 @@ main(int argc, char **argv)
             r.aef = d.f64();
             r.misses = d.u64();
             r.ipc = d.f64();
-            r.cdf.resize(d.u64());
+            r.cdf.resize(d.listLength("cdf"));
             for (double &v : r.cdf)
                 v = d.f64();
             return r;

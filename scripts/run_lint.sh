@@ -20,9 +20,8 @@
 # positional argument (default: build/release, falling back to
 # build). When clang-tidy or the database is missing the step is
 # skipped with a notice, not an error, so the determinism lint still
-# gates in minimal environments. The analyzer's clang frontend uses
-# the same database when python3-clang is available; without it the
-# dependency-free builtin frontend gates (same exit semantics).
+# gates in minimal environments. The analyzer needs no database: its
+# dependency-free builtin frontend gates everywhere.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Blocked order-statistic index.
+ * Blocked order-statistic index with one position handle per line.
  *
  * The futility of a cache line is its rank inside its partition,
  * normalized to (0, 1] (Section III.A of the paper): for the line
@@ -11,27 +11,36 @@
  *
  * Keys encode "usefulness": *larger key = more useful* (e.g. a higher
  * access count under LFU, a nearer next use under OPT). The futility
- * rank of a key k is then size() - countLess(k), and the least useful
- * line is minKey(). Keys must be unique; callers break ties by line
- * id. Keys here move both ways; orders that are pure recency (every
- * update makes the line the newest) use the cheaper stamp axis in
- * common/recency_index.hh instead.
+ * rank of a present line is then size() - rankOf(line), and the
+ * least useful line is minKey(). Every key carries the line it
+ * belongs to (Key::line), which also breaks ties, so keys are
+ * unique. Keys here move both ways; orders that are pure recency
+ * (every update makes the line the newest) use the cheaper stamp
+ * axis in common/recency_index.hh instead.
  *
  * Layout (see docs/PERF.md §2): two levels, both flat arrays.
  *  - Leaf blocks hold up to kBlockKeys sorted keys each. They live
  *    in one pooled vector with a free list.
  *  - The directory has one entry per block, in key order: the
  *    block's first key, the number of keys in all earlier blocks,
- *    and the block id.
+ *    and the block id. dirPos_ maps a block id back to its entry.
+ *  - A LineHandles table, owned by the caller and shared by every
+ *    index a line can live in, holds each present line's position:
+ *    its block id and slot in one 32-bit word.
  *
- * countLess() is a binary search of the directory's first keys, one
- * cumulative count and a binary search inside one leaf. insert(),
- * erase() and reKey() shift keys within one leaf and adjust the
- * cumulative counts of the later blocks. A full block splits in
- * half; a block under a quarter full merges with a neighbour, or
- * takes keys from it when the merged block would be more than
- * three quarters full. Only the sole remaining block may be short,
- * and it is released when its last key goes.
+ * rankOf(line) is before_[dirPos_[block]] + slot: two dependent
+ * loads and no comparisons. erase() and reKey() find the old key
+ * through its handle; the only key search left is the new key's
+ * position in insert() and reKey() (a binary search of the
+ * directory's first keys, then one inside a leaf). Every operation
+ * that moves keys refreshes the moved keys' handles: the leaf shift
+ * of insert, erase and an in-leaf reKey touches at most one block's
+ * keys. A full block splits in half; a block under a quarter full
+ * merges with a neighbour, or takes keys from it when the merged
+ * block would be more than three quarters full. Only the sole
+ * remaining block may be short, and it is released when its last
+ * key goes. Directory inserts and erases (split, merge) refresh
+ * dirPos_ from the changed entry on, as the cumulative counts are.
  */
 
 #ifndef FSCACHE_COMMON_ORDER_STAT_INDEX_HH
@@ -44,14 +53,68 @@
 
 #include "common/annotations.hh"
 #include "common/log.hh"
+#include "common/types.hh"
 
 namespace fscache
 {
 
+template <typename Key> class OrderStatIndex;
+
 /**
- * Sorted leaf blocks under a key-ordered directory.
+ * The keyed rankings' key: ordered by primary, ties broken by line
+ * id (which also makes keys unique when primaries collide, e.g.
+ * OPT's never-used lines).
+ */
+struct LineKey
+{
+    std::uint64_t primary = 0;
+    LineId line = kInvalidLine;
+
+    bool
+    operator<(const LineKey &o) const
+    {
+        if (primary != o.primary)
+            return primary < o.primary;
+        return line < o.line;
+    }
+
+    bool
+    operator==(const LineKey &o) const
+    {
+        return primary == o.primary && line == o.line;
+    }
+};
+
+/**
+ * One position handle per line, for every OrderStatIndex that can
+ * hold the line. A line is stored in at most one of them at a time,
+ * so the indexes of all partitions share one table. Only the
+ * indexes write it.
+ */
+class LineHandles
+{
+  public:
+    explicit LineHandles(LineId num_lines) : h_(num_lines, kNone) {}
+
+    LineHandles(const LineHandles &) = delete;
+    LineHandles &operator=(const LineHandles &) = delete;
+
+    /** True iff the line is stored in one of the sharing indexes. */
+    bool holds(LineId line) const { return h_[line] != kNone; }
+
+  private:
+    template <typename> friend class OrderStatIndex;
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    std::vector<std::uint32_t> h_;
+};
+
+/**
+ * Sorted leaf blocks under a key-ordered directory, with a position
+ * handle per stored line.
  *
- * @tparam Key totally ordered key type (operator< / operator==).
+ * @tparam Key totally ordered key type (operator< / operator==) with
+ *             a LineId member `line`, unique among stored keys.
  */
 template <typename Key>
 class OrderStatIndex
@@ -62,15 +125,24 @@ class OrderStatIndex
     /** Fewest keys a block holds while it is not the only one. */
     static constexpr std::uint32_t kMinFill = kBlockKeys / 4;
 
+    /** An index whose lines' handles live in `handles`, which must
+     *  outlive it and cover every line id it will hold. */
+    explicit OrderStatIndex(LineHandles &handles) : handles_(&handles)
+    {
+    }
+
     /** Number of keys currently stored. */
     std::uint32_t size() const { return size_; }
 
     bool empty() const { return first_.empty(); }
 
-    /** Insert a key that must not already be present. */
+    /** Insert the key of a line that no sharing index holds. */
     void
     insert(const Key &key)
     {
+        fs_assert(key.line < handles_->h_.size() &&
+                      handles_->h_[key.line] == LineHandles::kNone,
+                  "insert of a line already held");
         if (size_ / kMinFill + 2 > blocks_.capacity())
             growPools();
         if (first_.empty()) {
@@ -82,6 +154,7 @@ class OrderStatIndex
             before_.push_back(0);
             // fs-analyze: allow(hot-path-alloc) see first_ above.
             blockOf_.push_back(id);
+            dirPos_[id] = 0;
         }
         std::uint32_t d = slotFor(key);
         if (blocks_[blockOf_[d]].n == kBlockKeys) {
@@ -89,11 +162,13 @@ class OrderStatIndex
             if (!(key < first_[d + 1]))
                 ++d;
         }
-        Block &b = blocks_[blockOf_[d]];
+        std::uint32_t id = blockOf_[d];
+        Block &b = blocks_[id];
         std::uint32_t i = lowerBound(b.keys, b.n, key);
         std::copy_backward(b.keys + i, b.keys + b.n, b.keys + b.n + 1);
         b.keys[i] = key;
         ++b.n;
+        rehome(id, i, b.n);
         first_[d] = b.keys[0];
         addAfter(d, 1);
         ++size_;
@@ -107,38 +182,49 @@ class OrderStatIndex
     void
     erase(const Key &key)
     {
-        std::uint32_t d = slotFor(key);
-        std::uint32_t i = find(d, key);
-        fs_assert(i != kNone, "erase of absent key");
+        std::uint32_t d = 0, i = 0;
+        bool found = locate(key, d, i);
+        fs_assert(found, "erase of absent key");
+        LineId line = key.line; // key may be a stored key, moved below
         removeAt(d, i);
+        handles_->h_[line] = LineHandles::kNone;
     }
 
     /**
-     * Move a present key to a new (absent) key. When the new key
-     * lands in the same leaf, the keys between the two positions
-     * shift by one and nothing else changes; otherwise this is an
-     * erase and an insert. This is the hit path of every keyed
-     * ranking.
+     * Move a present key to a new (absent) key of the same line.
+     * When the new key stays between the neighbouring blocks' first
+     * keys, the keys between the two positions in the leaf shift by
+     * one and nothing else changes; otherwise this is an erase and
+     * an insert. This is the hit path of every keyed ranking.
      */
     void
     reKey(const Key &old_key, const Key &new_key)
     {
-        std::uint32_t d = slotFor(old_key);
-        std::uint32_t i = find(d, old_key);
-        fs_assert(i != kNone, "reKey of absent key");
-        if (slotFor(new_key) != d) {
+        std::uint32_t d = 0, i = 0;
+        bool found = locate(old_key, d, i);
+        fs_assert(found, "reKey of absent key");
+        fs_assert(new_key.line == old_key.line,
+                  "reKey to another line's key");
+        bool stays = (d == 0 || !(new_key < first_[d])) &&
+                     (d + 1 == first_.size() ||
+                      new_key < first_[d + 1]);
+        if (!stays) {
             removeAt(d, i);
+            handles_->h_[new_key.line] = LineHandles::kNone;
             insert(new_key);
             return;
         }
-        Block &b = blocks_[blockOf_[d]];
+        std::uint32_t id = blockOf_[d];
+        Block &b = blocks_[id];
         std::uint32_t j = lowerBound(b.keys, b.n, new_key);
         if (j > i) {
             std::copy(b.keys + i + 1, b.keys + j, b.keys + i);
             b.keys[j - 1] = new_key;
+            rehome(id, i, j);
         } else {
             std::copy_backward(b.keys + j, b.keys + i, b.keys + i + 1);
             b.keys[j] = new_key;
+            rehome(id, j, i + 1);
         }
         first_[d] = b.keys[0];
     }
@@ -147,10 +233,44 @@ class OrderStatIndex
     bool
     contains(const Key &key) const
     {
-        return find(slotFor(key), key) != kNone;
+        std::uint32_t d = 0, i = 0;
+        return locate(key, d, i);
     }
 
-    /** Number of stored keys strictly less than key. */
+    /** True iff this index holds the line (under any key). */
+    bool
+    holds(LineId line) const
+    {
+        std::uint32_t d = 0, i = 0;
+        return locateLine(line, d, i);
+    }
+
+    /** The key of a line this index holds. */
+    Key
+    keyOf(LineId line) const
+    {
+        std::uint32_t d = 0, i = 0;
+        bool found = locateLine(line, d, i);
+        fs_assert(found, "key of an absent line");
+        return blocks_[blockOf_[d]].keys[i];
+    }
+
+    /**
+     * Number of stored keys less than the key of a line this index
+     * holds: before_[dirPos_[block]] + slot, read off the line's
+     * handle with no search. The futility rank (paper's r in
+     * f = r / M) is size() - rankOf(line). The caller guarantees
+     * the line is held here; the ranking hot path checks that
+     * once per query, not here.
+     */
+    std::uint32_t
+    rankOf(LineId line) const
+    {
+        std::uint32_t h = handles_->h_[line];
+        return before_[dirPos_[h >> kSlotBits]] + (h & kSlotMask);
+    }
+
+    /** Number of stored keys strictly less than key (any key). */
     std::uint32_t
     countLess(const Key &key) const
     {
@@ -159,17 +279,6 @@ class OrderStatIndex
         std::uint32_t d = slotFor(key);
         const Block &b = blocks_[blockOf_[d]];
         return before_[d] + lowerBound(b.keys, b.n, key);
-    }
-
-    /**
-     * Futility rank of a present key, in [1, size()]: the most
-     * useful (largest) key has rank 1, the least useful (smallest)
-     * has rank size(). Matches the paper's r in f = r / M.
-     */
-    std::uint32_t
-    futilityRank(const Key &key) const
-    {
-        return size() - countLess(key);
     }
 
     /** Smallest key (the least useful line). Must be non-empty. */
@@ -201,15 +310,21 @@ class OrderStatIndex
     }
 
     /**
-     * Remove everything. The block pool is retained: every block
-     * goes back on the free list and the arrays keep their size, so
-     * a clear + refill cycle performs no allocation (and no pool
-     * shrink — see poolSize()). FS_COLD: only called when a cache
-     * is (re)built, never per access.
+     * Remove everything, releasing the stored lines' handles. The
+     * block pool is retained: every block goes back on the free list
+     * and the arrays keep their size, so a clear + refill cycle
+     * performs no allocation (and no pool shrink — see poolSize()).
+     * FS_COLD: only called when a cache is (re)built, never per
+     * access.
      */
     FS_COLD void
     clear()
     {
+        for (std::uint32_t id : blockOf_) {
+            const Block &b = blocks_[id];
+            for (std::uint32_t i = 0; i < b.n; ++i)
+                handles_->h_[b.keys[i].line] = LineHandles::kNone;
+        }
         auto pool = static_cast<std::uint32_t>(blocks_.size());
         freeList_.resize(pool);
         // Pop order is back-first; hand out block 0 first, matching
@@ -232,7 +347,8 @@ class OrderStatIndex
     /**
      * Structural self-audit (FS_AUDIT=paranoid; see src/check).
      * Verifies key order inside and across blocks, each block's fill
-     * against its directory count, each cached first key, the total
+     * against its directory count, each cached first key, dirPos_
+     * against the directory, each stored key's handle, the total
      * size and the pool / free-list accounting. O(n); not for hot
      * paths.
      *
@@ -246,6 +362,10 @@ class OrderStatIndex
             return strprintf("directory columns disagree: %zu first "
                              "keys, %zu counts, %zu block ids", live,
                              before_.size(), blockOf_.size());
+        if (dirPos_.size() != blocks_.size())
+            return strprintf("dirPos_ covers %zu blocks of a pool "
+                             "of %zu", dirPos_.size(),
+                             blocks_.size());
         std::vector<bool> used(blocks_.size(), false);
         for (std::uint32_t id : freeList_) {
             if (id >= blocks_.size() || used[id])
@@ -263,6 +383,10 @@ class OrderStatIndex
                                  "of the pool, free or shared", d,
                                  id);
             used[id] = true;
+            if (dirPos_[id] != d)
+                return strprintf("stale dirPos_: block %u at "
+                                 "directory entry %zu records entry "
+                                 "%u", id, d, dirPos_[id]);
             const Block &b = blocks_[id];
             if (b.n == 0 || b.n > kBlockKeys ||
                 (live > 1 && b.n < kMinFill))
@@ -277,8 +401,14 @@ class OrderStatIndex
             if (!(first_[d] == b.keys[0]))
                 return strprintf("stale first key at directory "
                                  "entry %zu", d);
-            for (std::uint32_t i = 1; i < b.n; ++i) {
-                if (!(b.keys[i - 1] < b.keys[i]))
+            for (std::uint32_t i = 0; i < b.n; ++i) {
+                LineId line = b.keys[i].line;
+                if (line >= handles_->h_.size() ||
+                    handles_->h_[line] != handleFor(id, i))
+                    return strprintf("stale handle: line %u sits at "
+                                     "block %u slot %u", line, id,
+                                     i);
+                if (i > 0 && !(b.keys[i - 1] < b.keys[i]))
                     return strprintf("key order violation inside "
                                      "block %u at slot %u", id, i);
             }
@@ -304,13 +434,13 @@ class OrderStatIndex
     /**
      * Deliberately inflate the size counter by one (FS_FAULTS
      * `cell=N:corrupt-treap`). Chosen because it is silent *and*
-     * navigation-safe: searches read the directory and the blocks,
-     * never the counter, so no later erase/reKey can crash on it —
-     * yet size() (and with it every partLines() sum and
-     * exactFutility() denominator) is now wrong, which is precisely
-     * what auditOccupancySums, the size audit and the shadow
-     * model's futility check exist to detect. Returns false on an
-     * empty index (nothing was corrupted).
+     * navigation-safe: handles, searches and ranks read the
+     * directory and the blocks, never the counter, so no later
+     * erase/reKey can crash on it — yet size() (and with it every
+     * partLines() sum and exactFutility() denominator) is now
+     * wrong, which is precisely what auditOccupancySums, the size
+     * audit and the shadow model's futility check exist to detect.
+     * Returns false on an empty index (nothing was corrupted).
      */
     bool
     corruptSizeForFaultInjection()
@@ -327,13 +457,63 @@ class OrderStatIndex
 
   private:
     friend struct TestAccess;
-    static constexpr std::uint32_t kNone = 0xffffffffu;
+    static constexpr std::uint32_t kSlotBits = 6;
+    static constexpr std::uint32_t kSlotMask = kBlockKeys - 1;
+    static_assert(kBlockKeys == 1u << kSlotBits,
+                  "a handle's slot field must fit a block");
+    /** Block ids stay below this, so no handle equals kNone. */
+    static constexpr std::uint32_t kMaxBlocks =
+        LineHandles::kNone >> kSlotBits;
 
     struct Block
     {
         std::uint32_t n = 0;
         Key keys[kBlockKeys];
     };
+
+    static std::uint32_t
+    handleFor(std::uint32_t id, std::uint32_t slot)
+    {
+        return id << kSlotBits | slot;
+    }
+
+    /** Point the handles of block id's slots [from, to) at them. */
+    void
+    rehome(std::uint32_t id, std::uint32_t from, std::uint32_t to)
+    {
+        const Block &b = blocks_[id];
+        for (std::uint32_t i = from; i < to; ++i)
+            handles_->h_[b.keys[i].line] = handleFor(id, i);
+    }
+
+    /**
+     * Directory entry d and slot i of a line this index holds, read
+     * off its handle; false when the handle does not lead to a live
+     * slot of this index holding the line (an absent line, or one
+     * held by another index sharing the table).
+     */
+    bool
+    locateLine(LineId line, std::uint32_t &d, std::uint32_t &i) const
+    {
+        if (line >= handles_->h_.size())
+            return false;
+        std::uint32_t h = handles_->h_[line];
+        std::uint32_t id = h >> kSlotBits;
+        i = h & kSlotMask;
+        if (h == LineHandles::kNone || id >= dirPos_.size())
+            return false;
+        d = dirPos_[id];
+        return d < blockOf_.size() && blockOf_[d] == id &&
+               i < blocks_[id].n && blocks_[id].keys[i].line == line;
+    }
+
+    /** locateLine() of key.line, and that line's key is key. */
+    bool
+    locate(const Key &key, std::uint32_t &d, std::uint32_t &i) const
+    {
+        return locateLine(key.line, d, i) &&
+               blocks_[blockOf_[d]].keys[i] == key;
+    }
 
     /**
      * Number of the n sorted keys at a that are < key (kOrEqual:
@@ -370,23 +550,20 @@ class OrderStatIndex
         return le == 0 ? 0 : le - 1;
     }
 
-    /** Slot of key inside directory entry d's block, or kNone. */
-    std::uint32_t
-    find(std::uint32_t d, const Key &key) const
-    {
-        if (empty())
-            return kNone;
-        const Block &b = blocks_[blockOf_[d]];
-        std::uint32_t i = lowerBound(b.keys, b.n, key);
-        return i < b.n && b.keys[i] == key ? i : kNone;
-    }
-
     /** Add delta to the cumulative counts after entry d. */
     void
     addAfter(std::uint32_t d, std::uint32_t delta)
     {
         for (std::size_t e = d + 1; e < before_.size(); ++e)
             before_[e] += delta;
+    }
+
+    /** Refresh dirPos_ of the blocks at entries d and later. */
+    void
+    renumberFrom(std::uint32_t d)
+    {
+        for (std::size_t e = d; e < blockOf_.size(); ++e)
+            dirPos_[blockOf_[e]] = static_cast<std::uint32_t>(e);
     }
 
     /**
@@ -405,6 +582,8 @@ class OrderStatIndex
         // fs-analyze: allow(hot-path-alloc) amortized: runs only when
         // the population doubles past its last high-water mark.
         blocks_.reserve(cap);
+        // fs-analyze: allow(hot-path-alloc) see blocks_ above.
+        dirPos_.reserve(cap);
         // fs-analyze: allow(hot-path-alloc) see blocks_ above.
         freeList_.reserve(cap);
         // fs-analyze: allow(hot-path-alloc) see blocks_ above.
@@ -425,9 +604,13 @@ class OrderStatIndex
             return id;
         }
         auto id = static_cast<std::uint32_t>(blocks_.size());
+        fs_assert(id < kMaxBlocks, "order-statistic index too large "
+                                   "for its handles");
         // fs-analyze: allow(hot-path-alloc) never grows: growPools()
         // keeps the capacity above the live-block bound.
         blocks_.emplace_back();
+        // fs-analyze: allow(hot-path-alloc) see blocks_ above.
+        dirPos_.push_back(0);
         return id;
     }
 
@@ -442,16 +625,20 @@ class OrderStatIndex
         first_.erase(first_.begin() + d);
         before_.erase(before_.begin() + d);
         blockOf_.erase(blockOf_.begin() + d);
+        renumberFrom(d);
     }
 
-    /** Remove slot i of directory entry d's block, then rebalance. */
+    /** Remove slot i of directory entry d's block, then rebalance.
+     *  The removed key's handle is left for the caller. */
     void
     removeAt(std::uint32_t d, std::uint32_t i)
     {
-        Block &b = blocks_[blockOf_[d]];
+        std::uint32_t id = blockOf_[d];
+        Block &b = blocks_[id];
         std::copy(b.keys + i + 1, b.keys + b.n, b.keys + i);
         --b.n;
         --size_;
+        rehome(id, i, b.n);
         addAfter(d, ~0u);
         if (b.n > 0)
             first_[d] = b.keys[0];
@@ -473,6 +660,7 @@ class OrderStatIndex
         std::copy(lo.keys + kHalf, lo.keys + kBlockKeys, hi.keys);
         lo.n = kHalf;
         hi.n = kBlockKeys - kHalf;
+        rehome(id, 0, hi.n);
         // fs-analyze: allow(hot-path-alloc) never grows: the
         // directory's capacity is the pool's (growPools()).
         first_.insert(first_.begin() + d + 1, hi.keys[0]);
@@ -480,6 +668,7 @@ class OrderStatIndex
         before_.insert(before_.begin() + d + 1, before_[d] + kHalf);
         // fs-analyze: allow(hot-path-alloc) see first_ above.
         blockOf_.insert(blockOf_.begin() + d + 1, id);
+        renumberFrom(d + 1);
     }
 
     /** Merge the blocks of entries l and l + 1, or even out their
@@ -487,35 +676,44 @@ class OrderStatIndex
     void
     rebalance(std::uint32_t l)
     {
-        Block &lo = blocks_[blockOf_[l]];
-        Block &hi = blocks_[blockOf_[l + 1]];
-        std::uint32_t total = lo.n + hi.n;
+        std::uint32_t loId = blockOf_[l];
+        std::uint32_t hiId = blockOf_[l + 1];
+        Block &lo = blocks_[loId];
+        Block &hi = blocks_[hiId];
+        std::uint32_t loN = lo.n;
+        std::uint32_t total = loN + hi.n;
         if (total <= kBlockKeys * 3 / 4) {
-            std::copy(hi.keys, hi.keys + hi.n, lo.keys + lo.n);
+            std::copy(hi.keys, hi.keys + hi.n, lo.keys + loN);
             lo.n = total;
+            rehome(loId, loN, total);
             first_[l] = lo.keys[0];
             releaseEntry(l + 1);
             return;
         }
         std::uint32_t want = total / 2;
-        if (lo.n > want) {
-            std::uint32_t m = lo.n - want;
+        if (loN > want) {
+            std::uint32_t m = loN - want;
             std::copy_backward(hi.keys, hi.keys + hi.n,
                                hi.keys + hi.n + m);
-            std::copy(lo.keys + want, lo.keys + lo.n, hi.keys);
+            std::copy(lo.keys + want, lo.keys + loN, hi.keys);
         } else {
-            std::uint32_t m = want - lo.n;
-            std::copy(hi.keys, hi.keys + m, lo.keys + lo.n);
+            std::uint32_t m = want - loN;
+            std::copy(hi.keys, hi.keys + m, lo.keys + loN);
             std::copy(hi.keys + m, hi.keys + hi.n, hi.keys);
+            rehome(loId, loN, want);
         }
         hi.n = total - want;
         lo.n = want;
+        rehome(hiId, 0, hi.n);
         first_[l] = lo.keys[0];
         first_[l + 1] = hi.keys[0];
         before_[l + 1] = before_[l] + want;
     }
 
+    LineHandles *handles_;
     std::vector<Block> blocks_;
+    /** Directory entry of each block id (stale for free blocks). */
+    std::vector<std::uint32_t> dirPos_;
     std::vector<std::uint32_t> freeList_;
     /** Directory columns, one entry per live block in key order. */
     std::vector<Key> first_;

@@ -6,19 +6,18 @@ namespace fscache
 {
 
 KeyedRankingBase::KeyedRankingBase(LineId num_lines)
-    : keyOf_(num_lines), partOf_(num_lines, kInvalidPart),
-      present_(num_lines, 0)
+    : handles_(num_lines), partOf_(num_lines, kInvalidPart)
 {
 }
 
 OrderStatIndex<KeyedRankingBase::Key> &
 KeyedRankingBase::indexFor(PartId part)
 {
-    if (part >= indexes_.size())
+    while (part >= indexes_.size())
         // fs-analyze: allow(hot-path-alloc) one-time growth per
         // newly-seen partition id, bounded by the partition count
         // (witness: tests/test_hot_alloc.cc).
-        indexes_.resize(part + 1);
+        indexes_.emplace_back(handles_);
     return indexes_[part];
 }
 
@@ -31,29 +30,25 @@ KeyedRankingBase::indexFor(PartId part) const
 void
 KeyedRankingBase::place(LineId id, PartId part, std::uint64_t primary)
 {
-    fs_assert(!present_[id], "placing an already-present line");
-    Key key{primary, id};
-    keyOf_[id] = key;
+    // insert() panics if the line is already held anywhere.
     partOf_[id] = part;
-    present_[id] = 1;
-    indexFor(part).insert(key);
+    indexFor(part).insert(Key{primary, id});
 }
 
 void
 KeyedRankingBase::reKey(LineId id, std::uint64_t primary)
 {
-    fs_assert(present_[id], "rekeying an absent line");
-    Key key{primary, id};
-    indexFor(partOf_[id]).reKey(keyOf_[id], key);
-    keyOf_[id] = key;
+    fs_assert(handles_.holds(id), "rekeying an absent line");
+    auto &index = indexFor(partOf_[id]);
+    index.reKey(index.keyOf(id), Key{primary, id});
 }
 
 void
 KeyedRankingBase::remove(LineId id)
 {
-    fs_assert(present_[id], "removing an absent line");
-    indexFor(partOf_[id]).erase(keyOf_[id]);
-    present_[id] = 0;
+    fs_assert(handles_.holds(id), "removing an absent line");
+    auto &index = indexFor(partOf_[id]);
+    index.erase(index.keyOf(id));
     partOf_[id] = kInvalidPart;
 }
 
@@ -66,11 +61,11 @@ KeyedRankingBase::onEvict(LineId id)
 void
 KeyedRankingBase::onRelocate(LineId from, LineId to)
 {
-    fs_assert(present_[from] && !present_[to],
+    fs_assert(handles_.holds(from) && !handles_.holds(to),
               "bad relocation in ranking");
     // Keys embed the line id for uniqueness, so the key changes.
     PartId part = partOf_[from];
-    std::uint64_t primary = keyOf_[from].primary;
+    std::uint64_t primary = indexFor(part).keyOf(from).primary;
     remove(from);
     place(to, part, primary);
 }
@@ -78,8 +73,8 @@ KeyedRankingBase::onRelocate(LineId from, LineId to)
 void
 KeyedRankingBase::onRetag(LineId id, PartId new_part)
 {
-    fs_assert(present_[id], "retag of an absent line");
-    std::uint64_t primary = keyOf_[id].primary;
+    fs_assert(handles_.holds(id), "retag of an absent line");
+    std::uint64_t primary = indexFor(partOf_[id]).keyOf(id).primary;
     remove(id);
     place(id, new_part, primary);
 }
@@ -98,10 +93,10 @@ KeyedRankingBase::exactFutilityManyImpl(std::span<const LineId> ids,
 {
     for (std::size_t i = 0; i < ids.size(); ++i) {
         LineId id = ids[i];
-        fs_assert(present_[id], "futility of an absent line");
+        fs_assert(handles_.holds(id), "futility of an absent line");
         const auto *index = indexFor(partOf_[id]);
         std::uint32_t size = index->size();
-        std::uint32_t rank = size - index->countLess(keyOf_[id]);
+        std::uint32_t rank = size - index->rankOf(id);
         out[i] = static_cast<double>(rank) /
                  static_cast<double>(size);
     }
@@ -147,10 +142,12 @@ KeyedRankingBase::auditInvariants() const
     }
 
     // Line metadata <-> index cross-consistency: every present line
-    // is stored once, under its recorded partition and key.
+    // is stored once, under its recorded partition. (Each index's
+    // audit has already checked that its keys' handles lead back to
+    // them.)
     std::uint32_t presentLines = 0;
-    for (LineId id = 0; id < present_.size(); ++id) {
-        if (present_[id] == 0) {
+    for (LineId id = 0; id < partOf_.size(); ++id) {
+        if (!handles_.holds(id)) {
             if (partOf_[id] != kInvalidPart) {
                 return strprintf("absent line %u still mapped to "
                                  "partition %u", id,
@@ -159,12 +156,8 @@ KeyedRankingBase::auditInvariants() const
             continue;
         }
         ++presentLines;
-        if (keyOf_[id].line != id) {
-            return strprintf("line %u keyed as line %u", id,
-                             keyOf_[id].line);
-        }
         const auto *index = indexFor(partOf_[id]);
-        if (index == nullptr || !index->contains(keyOf_[id])) {
+        if (index == nullptr || !index->holds(id)) {
             return strprintf(
                 "present line %u missing from partition %u's "
                 "index", id, static_cast<unsigned>(partOf_[id]));

@@ -5,6 +5,13 @@
  * (common/order_stat_index.hh) per partition keyed by a
  * "usefulness" value (larger = more useful), plus per-line metadata.
  *
+ * The base owns the one LineHandles table that every partition's
+ * index shares (a line lives in one partition at a time). A line's
+ * handle gives its position in its partition's index, so its rank —
+ * every eviction candidate's futility — is two loads with no
+ * search, and its current key is read at the same position instead
+ * of being kept in a second per-line array.
+ *
  * Concrete rankings (LFU, OPT, RRIP) derive and translate their
  * policy (frequency, next use, RRIP age) into the primary key; those
  * keys move both ways, so they need the general index. Rankings
@@ -31,6 +38,9 @@ class KeyedRankingBase : public FutilityRanking
 {
   public:
     explicit KeyedRankingBase(LineId num_lines);
+    /** The indexes point at handles_, so the base never moves. */
+    KeyedRankingBase(const KeyedRankingBase &) = delete;
+    KeyedRankingBase &operator=(const KeyedRankingBase &) = delete;
 
     void onEvict(LineId id) override;
     void onRelocate(LineId from, LineId to) override;
@@ -44,30 +54,8 @@ class KeyedRankingBase : public FutilityRanking
     bool corruptRankNodeForFaultInjection() override;
 
   protected:
-    /**
-     * Usefulness key: ordered by primary, ties broken by line id
-     * (which also makes keys unique when primaries collide, e.g.
-     * OPT's never-used lines).
-     */
-    struct Key
-    {
-        std::uint64_t primary = 0;
-        LineId line = kInvalidLine;
-
-        bool
-        operator<(const Key &o) const
-        {
-            if (primary != o.primary)
-                return primary < o.primary;
-            return line < o.line;
-        }
-
-        bool
-        operator==(const Key &o) const
-        {
-            return primary == o.primary && line == o.line;
-        }
-    };
+    /** Usefulness key: primary, ties broken by line id. */
+    using Key = LineKey;
 
     /** Insert a not-present line with the given usefulness. */
     void place(LineId id, PartId part, std::uint64_t primary);
@@ -85,23 +73,15 @@ class KeyedRankingBase : public FutilityRanking
     void exactFutilityManyImpl(std::span<const LineId> ids,
                                double *out) const;
 
-    bool present(LineId id) const { return present_[id] != 0; }
-    std::uint64_t primaryOf(LineId id) const
-    { return keyOf_[id].primary; }
-
   private:
     OrderStatIndex<Key> &indexFor(PartId part);
     const OrderStatIndex<Key> *indexFor(PartId part) const;
 
+    /** Position handles of every line, in whichever partition's
+     *  index holds it; a held handle is also the presence flag. */
+    LineHandles handles_;
     std::vector<OrderStatIndex<Key>> indexes_;
-    std::vector<Key> keyOf_;
     std::vector<PartId> partOf_;
-    /**
-     * Byte- (not bit-) backed presence flags: reKey/place/remove
-     * test this once per access, and vector<bool>'s masked bit loads
-     * cost more than the 8x memory on these hot checks.
-     */
-    std::vector<std::uint8_t> present_;
 };
 
 } // namespace fscache

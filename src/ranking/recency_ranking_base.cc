@@ -130,12 +130,9 @@ RecencyRankingBase::onRetag(LineId id, PartId new_part)
 double
 RecencyRankingBase::exactFutility(LineId id) const
 {
-    fs_assert(present_[id], "futility of an absent line");
-    PartId part = partOf_[id];
-    std::uint32_t size = size_[part];
-    std::uint32_t rank =
-        size - fens_[part].countBelow(stampOf_[id]);
-    return static_cast<double>(rank) / static_cast<double>(size);
+    double out;
+    exactFutilityManyImpl(std::span<const LineId>(&id, 1), &out);
+    return out;
 }
 
 void

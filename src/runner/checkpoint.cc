@@ -127,10 +127,23 @@ CellDecoder::u64()
     std::string tok = nextToken("u64");
     char *end = nullptr;
     unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (end == tok.c_str() || *end != '\0')
+    // The whole token, so an embedded NUL cannot end it early.
+    if (end == tok.c_str() || end != tok.c_str() + tok.size())
         throw FsError(strprintf(
             "checkpoint payload: bad u64 token \"%s\"", tok.c_str()));
     return v;
+}
+
+std::size_t
+CellDecoder::listLength(const char *what)
+{
+    std::uint64_t n = u64();
+    if (n > buf_.size() - pos_)
+        throw FsError(strprintf(
+            "checkpoint payload: %s length %llu exceeds the %zu bytes "
+            "left", what, static_cast<unsigned long long>(n),
+            buf_.size() - pos_));
+    return static_cast<std::size_t>(n);
 }
 
 double
@@ -252,9 +265,13 @@ void
 CheckpointJournal::flushLocked()
 {
     std::string body;
-    for (const auto &[cell, payload] : entries_)
-        body += strprintf("{\"cell\":%zu,\"v\":\"%s\"}\n", cell,
-                          payload.c_str());
+    for (const auto &[cell, payload] : entries_) {
+        // Appended, not formatted with %s: a payload byte that ends
+        // a C string must not truncate the record on a rewrite.
+        body += strprintf("{\"cell\":%zu,\"v\":\"", cell);
+        body += payload;
+        body += "\"}\n";
+    }
 
     // Durability contract (power-loss-style kill at any instant):
     // fsync the *data* before the rename publishes it, and fsync

@@ -75,6 +75,14 @@ class CellDecoder
     double f64();
     std::string str();
 
+    /**
+     * A list's length prefix. Each element takes at least one more
+     * token, so a count above the bytes left is malformed: this
+     * throws FsError for it instead of letting a corrupt payload
+     * size an allocation.
+     */
+    std::size_t listLength(const char *what);
+
     /** True when every token has been consumed. */
     bool done() const { return pos_ >= buf_.size(); }
 

@@ -25,7 +25,8 @@ parseField(const std::string &tok, const char *field,
 {
     char *end = nullptr;
     unsigned long long v = std::strtoull(tok.c_str(), &end, 0);
-    if (end == tok.c_str() || *end != '\0') {
+    // The whole token, so an embedded NUL cannot end it early.
+    if (end == tok.c_str() || end != tok.c_str() + tok.size()) {
         throw TraceFormatError(strprintf(
             "%s: bad %s '%s' (record %llu, line %llu, byte offset "
             "%llu)", source.c_str(), field, tok.c_str(),

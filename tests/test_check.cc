@@ -66,9 +66,9 @@ struct FlatMap<std::uint32_t>::TestAccess
 };
 
 template <>
-struct OrderStatIndex<std::uint64_t>::TestAccess
+struct OrderStatIndex<LineKey>::TestAccess
 {
-    using Index = OrderStatIndex<std::uint64_t>;
+    using Index = OrderStatIndex<LineKey>;
 
     /** Directory entry 1 counts one key too many before it. */
     static void breakCount(Index &t) { ++t.before_[1]; }
@@ -79,12 +79,12 @@ struct OrderStatIndex<std::uint64_t>::TestAccess
     breakKeyOrderAcrossBlocks(Index &t)
     {
         auto &b = t.blocks_[t.blockOf_[1]];
-        b.keys[0] = t.first_[0];
+        b.keys[0].primary = t.first_[0].primary;
         t.first_[1] = b.keys[0];
     }
 
     /** The directory's cached first key of entry 1 goes stale. */
-    static void breakFirstKey(Index &t) { ++t.first_[1]; }
+    static void breakFirstKey(Index &t) { ++t.first_[1].primary; }
 
     /** A live block is also put on the free list. */
     static void
@@ -92,6 +92,19 @@ struct OrderStatIndex<std::uint64_t>::TestAccess
     {
         t.freeList_.push_back(t.blockOf_[0]);
     }
+
+    /** The handle of the key at entry 1's slot 2 points one slot
+     *  off, as if a shift had not refreshed it. */
+    static void
+    breakHandle(Index &t)
+    {
+        const auto &b = t.blocks_[t.blockOf_[1]];
+        ++t.handles_->h_[b.keys[2].line];
+    }
+
+    /** Entry 1's block records entry 0 as its directory position,
+     *  as if a split had not refreshed dirPos_. */
+    static void breakDirPos(Index &t) { t.dirPos_[t.blockOf_[1]] = 0; }
 };
 
 namespace
@@ -190,65 +203,87 @@ TEST_F(FlatMapAudit, DuplicateKeyDetected)
 
 TEST_F(IndexAudit, CleanIndexPassesThroughChurn)
 {
-    OrderStatIndex<std::uint64_t> t;
-    for (std::uint64_t k = 0; k < 2000; ++k)
-        t.insert(k * 3 + 1);
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        t.erase(k * 6 + 1);
+    LineHandles handles(2000);
+    OrderStatIndex<LineKey> t(handles);
+    for (LineId k = 0; k < 2000; ++k)
+        t.insert({k * 3 + 1, k});
+    for (LineId k = 0; k < 2000; k += 2)
+        t.erase({k * 3 + 1, k});
     EXPECT_EQ(t.auditInvariants(), "");
-    EXPECT_EQ(OrderStatIndex<std::uint64_t>().auditInvariants(), "");
+    EXPECT_EQ(OrderStatIndex<LineKey>(handles).auditInvariants(), "");
 }
 
 /** Several blocks, so every directory arm has a boundary to test. */
-OrderStatIndex<std::uint64_t>
-multiBlockIndex()
+struct MultiBlockIndex
 {
-    OrderStatIndex<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 200; ++k)
-        t.insert(k * 2);
-    return t;
-}
+    using Access = OrderStatIndex<LineKey>::TestAccess;
+
+    MultiBlockIndex()
+    {
+        for (LineId k = 1; k <= 200; ++k)
+            t.insert({k * 2, k});
+    }
+
+    LineHandles handles{256};
+    OrderStatIndex<LineKey> t{handles};
+};
 
 TEST_F(IndexAudit, CountDriftDetected)
 {
-    auto t = multiBlockIndex();
-    OrderStatIndex<std::uint64_t>::TestAccess::breakCount(t);
-    EXPECT_NE(t.auditInvariants().find("count drift"),
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakCount(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("count drift"),
               std::string::npos);
 }
 
 TEST_F(IndexAudit, KeyOrderAcrossBlocksDetected)
 {
-    auto t = multiBlockIndex();
-    OrderStatIndex<std::uint64_t>::TestAccess::
-        breakKeyOrderAcrossBlocks(t);
-    EXPECT_NE(t.auditInvariants().find("key order violation across"),
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakKeyOrderAcrossBlocks(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("key order violation across"),
               std::string::npos);
 }
 
 TEST_F(IndexAudit, StaleFirstKeyDetected)
 {
-    auto t = multiBlockIndex();
-    OrderStatIndex<std::uint64_t>::TestAccess::breakFirstKey(t);
-    EXPECT_NE(t.auditInvariants().find("stale first key"),
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakFirstKey(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("stale first key"),
               std::string::npos);
 }
 
 TEST_F(IndexAudit, PoolAccountingDetected)
 {
-    auto t = multiBlockIndex();
-    OrderStatIndex<std::uint64_t>::TestAccess::breakPool(t);
-    EXPECT_NE(t.auditInvariants().find("pool accounting"),
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakPool(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("pool accounting"),
+              std::string::npos);
+}
+
+TEST_F(IndexAudit, StaleHandleDetected)
+{
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakHandle(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("stale handle"),
+              std::string::npos);
+}
+
+TEST_F(IndexAudit, StaleDirPosDetected)
+{
+    MultiBlockIndex m;
+    MultiBlockIndex::Access::breakDirPos(m.t);
+    EXPECT_NE(m.t.auditInvariants().find("stale dirPos_"),
               std::string::npos);
 }
 
 TEST_F(IndexAudit, InflatedSizeDetected)
 {
-    auto t = multiBlockIndex();
-    ASSERT_TRUE(t.corruptSizeForFaultInjection());
-    EXPECT_NE(t.auditInvariants().find("size counter"),
+    MultiBlockIndex m;
+    ASSERT_TRUE(m.t.corruptSizeForFaultInjection());
+    EXPECT_NE(m.t.auditInvariants().find("size counter"),
               std::string::npos);
-    EXPECT_FALSE(OrderStatIndex<std::uint64_t>()
+    LineHandles handles(1);
+    EXPECT_FALSE(OrderStatIndex<LineKey>(handles)
                      .corruptSizeForFaultInjection());
 }
 

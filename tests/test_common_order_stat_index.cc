@@ -2,7 +2,8 @@
  * @file
  * Blocked order-statistic index tests, including randomized
  * differential tests against a sorted-vector reference model that
- * drive the index through many block splits and merges.
+ * drive the index through many block splits and merges, and check
+ * every line's handle rank against the model after every operation.
  */
 
 #include <gtest/gtest.h>
@@ -16,109 +17,195 @@
 
 namespace fscache
 {
+
+using Index = OrderStatIndex<LineKey>;
+
+/** Read-only view of the index's blocks, so the handle test can
+ *  tell which rebalancing path an operation is about to take. */
+template <>
+struct OrderStatIndex<LineKey>::TestAccess
+{
+    static std::uint32_t
+    liveBlocks(const Index &t)
+    {
+        return static_cast<std::uint32_t>(t.blockOf_.size());
+    }
+
+    static std::uint32_t
+    fill(const Index &t, std::uint32_t d)
+    {
+        return t.blocks_[t.blockOf_[d]].n;
+    }
+
+    /** Directory entry of the block holding a present line. */
+    static std::uint32_t
+    entryOf(const Index &t, LineId line)
+    {
+        return t.dirPos_[t.handles_->h_[line] >> kSlotBits];
+    }
+
+    /** True when reKey of entry d's key to k stays in that leaf. */
+    static bool
+    staysInLeaf(const Index &t, std::uint32_t d, const LineKey &k)
+    {
+        return (d == 0 || !(k < t.first_[d])) &&
+               (d + 1 == t.first_.size() || k < t.first_[d + 1]);
+    }
+};
+
 namespace
 {
 
+using Access = Index::TestAccess;
+
+/** An index with its own handle table for lines [0, lines). */
+struct Harness
+{
+    explicit Harness(LineId lines = 1u << 17) : handles(lines) {}
+
+    LineHandles handles;
+    Index t{handles};
+};
+
+/** The key k of line k: distinct values give distinct lines. */
+LineKey
+K(std::uint64_t k)
+{
+    return LineKey{k, static_cast<LineId>(k)};
+}
+
+/** Futility rank (paper's r): the most useful line has rank 1. */
+std::uint32_t
+futilityRank(const Index &t, LineId line)
+{
+    return t.size() - t.rankOf(line);
+}
+
 TEST(OrderStatIndex, EmptyBasics)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     EXPECT_EQ(t.size(), 0u);
     EXPECT_TRUE(t.empty());
-    EXPECT_FALSE(t.contains(42));
-    EXPECT_EQ(t.countLess(7), 0u);
+    EXPECT_FALSE(t.contains(K(42)));
+    EXPECT_FALSE(t.holds(42));
+    EXPECT_EQ(t.countLess(K(7)), 0u);
 }
 
 TEST(OrderStatIndex, SingleElement)
 {
-    OrderStatIndex<std::uint64_t> t;
-    t.insert(5);
+    Harness h;
+    Index &t = h.t;
+    t.insert(K(5));
     EXPECT_EQ(t.size(), 1u);
-    EXPECT_TRUE(t.contains(5));
-    EXPECT_EQ(t.minKey(), 5u);
-    EXPECT_EQ(t.maxKey(), 5u);
-    EXPECT_EQ(t.countLess(5), 0u);
-    EXPECT_EQ(t.countLess(6), 1u);
-    EXPECT_EQ(t.futilityRank(5), 1u);
-    t.erase(5);
+    EXPECT_TRUE(t.contains(K(5)));
+    EXPECT_TRUE(t.holds(5));
+    EXPECT_TRUE(h.handles.holds(5));
+    EXPECT_TRUE(t.keyOf(5) == K(5));
+    EXPECT_EQ(t.minKey().primary, 5u);
+    EXPECT_EQ(t.maxKey().primary, 5u);
+    EXPECT_EQ(t.countLess(K(5)), 0u);
+    EXPECT_EQ(t.countLess(K(6)), 1u);
+    EXPECT_EQ(t.rankOf(5), 0u);
+    EXPECT_EQ(futilityRank(t, 5), 1u);
+    t.erase(K(5));
     EXPECT_TRUE(t.empty());
+    EXPECT_FALSE(h.handles.holds(5));
 }
 
 TEST(OrderStatIndex, OrderedInsertAndKth)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 0; k < 100; ++k)
-        t.insert(k * 3);
+        t.insert(K(k * 3));
     EXPECT_EQ(t.size(), 100u);
-    for (std::uint32_t k = 0; k < 100; ++k)
-        EXPECT_EQ(t.kth(k), k * 3);
-    EXPECT_EQ(t.minKey(), 0u);
-    EXPECT_EQ(t.maxKey(), 297u);
+    for (std::uint32_t k = 0; k < 100; ++k) {
+        EXPECT_EQ(t.kth(k).primary, k * 3);
+        EXPECT_EQ(t.rankOf(k * 3), k);
+    }
+    EXPECT_EQ(t.minKey().primary, 0u);
+    EXPECT_EQ(t.maxKey().primary, 297u);
 }
 
 TEST(OrderStatIndex, CountLessSemantics)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 10; k <= 50; k += 10)
-        t.insert(k); // 10 20 30 40 50
-    EXPECT_EQ(t.countLess(10), 0u);
-    EXPECT_EQ(t.countLess(11), 1u);
-    EXPECT_EQ(t.countLess(30), 2u);
-    EXPECT_EQ(t.countLess(55), 5u);
+        t.insert(K(k)); // 10 20 30 40 50
+    EXPECT_EQ(t.countLess(K(10)), 0u);
+    EXPECT_EQ(t.countLess(K(11)), 1u);
+    EXPECT_EQ(t.countLess(K(30)), 2u);
+    EXPECT_EQ(t.countLess(K(55)), 5u);
+    EXPECT_EQ(t.rankOf(30), 2u);
 }
 
 TEST(OrderStatIndex, FutilityRankMatchesPaperDefinition)
 {
     // Most useful (largest key) has rank 1; least useful rank M.
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 1; k <= 8; ++k)
-        t.insert(k);
-    EXPECT_EQ(t.futilityRank(8), 1u);
-    EXPECT_EQ(t.futilityRank(1), 8u);
-    EXPECT_EQ(t.futilityRank(5), 4u);
+        t.insert(K(k));
+    EXPECT_EQ(futilityRank(t, 8), 1u);
+    EXPECT_EQ(futilityRank(t, 1), 8u);
+    EXPECT_EQ(futilityRank(t, 5), 4u);
 }
 
 TEST(OrderStatIndex, EraseMiddleKeepsOrder)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 0; k < 10; ++k)
-        t.insert(k);
-    t.erase(4);
-    t.erase(7);
+        t.insert(K(k));
+    t.erase(K(4));
+    t.erase(K(7));
     EXPECT_EQ(t.size(), 8u);
-    EXPECT_FALSE(t.contains(4));
+    EXPECT_FALSE(t.contains(K(4)));
+    EXPECT_FALSE(t.holds(4));
     std::vector<std::uint64_t> expect{0, 1, 2, 3, 5, 6, 8, 9};
-    for (std::uint32_t k = 0; k < expect.size(); ++k)
-        EXPECT_EQ(t.kth(k), expect[k]);
+    for (std::uint32_t k = 0; k < expect.size(); ++k) {
+        EXPECT_EQ(t.kth(k).primary, expect[k]);
+        EXPECT_EQ(t.rankOf(static_cast<LineId>(expect[k])), k);
+    }
 }
 
 TEST(OrderStatIndex, BlockPoolReuse)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (int round = 0; round < 50; ++round) {
         for (std::uint64_t k = 0; k < 64; ++k)
-            t.insert(k);
+            t.insert(K(k));
         for (std::uint64_t k = 0; k < 64; ++k)
-            t.erase(k);
+            t.erase(K(k));
     }
     EXPECT_TRUE(t.empty());
-    t.insert(7);
-    EXPECT_EQ(t.minKey(), 7u);
+    t.insert(K(7));
+    EXPECT_EQ(t.minKey().primary, 7u);
 }
 
 TEST(OrderStatIndex, Clear)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 0; k < 32; ++k)
-        t.insert(k);
+        t.insert(K(k));
     t.clear();
     EXPECT_TRUE(t.empty());
-    t.insert(3);
+    // clear() releases the handles too, so the lines may come back.
+    for (LineId line = 0; line < 32; ++line)
+        EXPECT_FALSE(h.handles.holds(line)) << line;
+    t.insert(K(3));
     EXPECT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.rankOf(3), 0u);
 }
 
 TEST(OrderStatIndex, RandomizedDifferential)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     std::set<std::uint64_t> ref;
     Rng rng(12345);
 
@@ -126,19 +213,19 @@ TEST(OrderStatIndex, RandomizedDifferential)
         std::uint64_t key = rng.below(5000);
         if (rng.chance(0.5)) {
             if (ref.insert(key).second)
-                t.insert(key);
+                t.insert(K(key));
         } else {
             if (ref.erase(key) > 0)
-                t.erase(key);
+                t.erase(K(key));
         }
         if (op % 500 == 0 && !ref.empty()) {
             EXPECT_EQ(t.size(), ref.size());
-            EXPECT_EQ(t.minKey(), *ref.begin());
-            EXPECT_EQ(t.maxKey(), *ref.rbegin());
+            EXPECT_EQ(t.minKey().primary, *ref.begin());
+            EXPECT_EQ(t.maxKey().primary, *ref.rbegin());
             std::uint64_t probe = rng.below(5200);
             auto expect_less = static_cast<std::uint32_t>(
                 std::distance(ref.begin(), ref.lower_bound(probe)));
-            EXPECT_EQ(t.countLess(probe), expect_less);
+            EXPECT_EQ(t.countLess(K(probe)), expect_less);
         }
     }
     EXPECT_EQ(t.size(), ref.size());
@@ -146,24 +233,26 @@ TEST(OrderStatIndex, RandomizedDifferential)
 
 TEST(OrderStatIndex, RandomizedKth)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h(2000);
+    Index &t = h.t;
     std::set<std::uint64_t> ref;
     Rng rng(999);
-    for (int i = 0; i < 2000; ++i) {
+    for (LineId i = 0; i < 2000; ++i) {
         std::uint64_t key = rng();
         if (ref.insert(key).second)
-            t.insert(key);
+            t.insert(LineKey{key, i});
     }
     std::vector<std::uint64_t> sorted(ref.begin(), ref.end());
     for (std::uint32_t k = 0; k < sorted.size(); k += 37)
-        EXPECT_EQ(t.kth(k), sorted[k]);
+        EXPECT_EQ(t.kth(k).primary, sorted[k]);
 }
 
 TEST(OrderStatIndex, ClearRetainsBlockPool)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 0; k < 256; ++k)
-        t.insert(k);
+        t.insert(K(k));
     std::uint32_t pool = t.poolSize();
     EXPECT_GT(pool, 1u);
 
@@ -173,25 +262,27 @@ TEST(OrderStatIndex, ClearRetainsBlockPool)
     EXPECT_TRUE(t.empty());
     EXPECT_EQ(t.poolSize(), pool);
     for (std::uint64_t k = 0; k < 256; ++k)
-        t.insert(1000 + k);
+        t.insert(K(1000 + k));
     EXPECT_EQ(t.size(), 256u);
     EXPECT_EQ(t.poolSize(), pool) << "refill after clear grew the "
                                      "pool";
-    EXPECT_EQ(t.minKey(), 1000u);
-    EXPECT_EQ(t.maxKey(), 1255u);
+    EXPECT_EQ(t.minKey().primary, 1000u);
+    EXPECT_EQ(t.maxKey().primary, 1255u);
     EXPECT_EQ(t.auditInvariants(), "");
 
     // Repeated cycles stay allocation-stable too.
     for (int round = 0; round < 5; ++round) {
         t.clear();
         for (std::uint64_t k = 0; k < 256; ++k)
-            t.insert(k * 7);
+            t.insert(K(k * 7));
         EXPECT_EQ(t.poolSize(), pool);
     }
+    EXPECT_EQ(t.auditInvariants(), "");
 }
 
 TEST(OrderStatIndex, StructKeyWithTieBreak)
 {
+    // Any key type with a `line` member works, not only LineKey.
     struct Key
     {
         std::uint64_t primary;
@@ -207,7 +298,8 @@ TEST(OrderStatIndex, StructKeyWithTieBreak)
             return primary == o.primary && line == o.line;
         }
     };
-    OrderStatIndex<Key> t;
+    LineHandles handles(8);
+    OrderStatIndex<Key> t(handles);
     // Same primary, distinct lines — must coexist.
     t.insert({0, 1});
     t.insert({0, 2});
@@ -220,32 +312,13 @@ TEST(OrderStatIndex, StructKeyWithTieBreak)
     EXPECT_EQ(t.size(), 3u);
     EXPECT_FALSE(t.contains({0, 2}));
     EXPECT_TRUE(t.contains({0, 3}));
+    EXPECT_EQ(t.rankOf(3), 1u);
+    EXPECT_EQ(t.auditInvariants(), "");
 }
-
-/** Key shaped like the keyed rankings' (primary, line id). */
-struct PairKey
-{
-    std::uint64_t primary;
-    std::uint32_t line;
-
-    bool
-    operator<(const PairKey &o) const
-    {
-        if (primary != o.primary)
-            return primary < o.primary;
-        return line < o.line;
-    }
-
-    bool
-    operator==(const PairKey &o) const
-    {
-        return primary == o.primary && line == o.line;
-    }
-};
 
 /**
  * Randomized differential run against a sorted vector: 200k mixed
- * operations over pair keys, with the population swept from empty
+ * operations over line keys, with the population swept from empty
  * up past several thousand keys and back down, twice, so blocks
  * split and merge many times and the index passes through the
  * empty <-> one-key transitions. Primaries come from a small range
@@ -255,24 +328,25 @@ struct PairKey
  */
 TEST(OrderStatIndex, RandomizedDifferentialAgainstSortedVector)
 {
-    OrderStatIndex<PairKey> t;
-    std::vector<PairKey> ref;
-    Rng rng(20141213);
     constexpr int kOps = 200000;
     constexpr std::uint32_t kLines = 6000;
-    std::vector<PairKey> keyOf(kLines);
+    Harness h(kLines);
+    Index &t = h.t;
+    std::vector<LineKey> ref;
+    Rng rng(20141213);
+    std::vector<LineKey> keyOf(kLines);
     std::vector<std::uint8_t> present(kLines, 0);
     std::uint32_t emptyVisits = 0;
     std::size_t peak = 0;
 
-    auto refLess = [&](const PairKey &k) {
+    auto refLess = [&](const LineKey &k) {
         return static_cast<std::uint32_t>(
             std::lower_bound(ref.begin(), ref.end(), k) - ref.begin());
     };
     auto randomKey = [&](std::uint32_t line) {
         // Half the keys share primary 0 (never used again).
         std::uint64_t primary = rng.chance(0.5) ? 0 : rng.below(4000);
-        return PairKey{primary, line};
+        return LineKey{primary, line};
     };
 
     for (int op = 0; op < kOps; ++op) {
@@ -284,7 +358,7 @@ TEST(OrderStatIndex, RandomizedDifferentialAgainstSortedVector)
                             : (kOps / 2 - phase) * 5000.0 / (kOps / 4);
         double pInsert = ref.size() < target ? 0.8 : 0.2;
         auto reKeyLine = [&](std::uint32_t line) {
-            PairKey k = randomKey(line);
+            LineKey k = randomKey(line);
             t.reKey(keyOf[line], k);
             ref.erase(ref.begin() + refLess(keyOf[line]));
             ref.insert(ref.begin() + refLess(k), k);
@@ -295,7 +369,7 @@ TEST(OrderStatIndex, RandomizedDifferentialAgainstSortedVector)
             if (present[line]) {
                 reKeyLine(line);
             } else {
-                PairKey k = randomKey(line);
+                LineKey k = randomKey(line);
                 t.insert(k);
                 ref.insert(ref.begin() + refLess(k), k);
                 keyOf[line] = k;
@@ -324,9 +398,9 @@ TEST(OrderStatIndex, RandomizedDifferentialAgainstSortedVector)
             auto k = static_cast<std::uint32_t>(rng.below(ref.size()));
             ASSERT_TRUE(t.kth(k) == ref[k]) << "op " << op;
             ASSERT_TRUE(t.contains(ref[k])) << "op " << op;
-            ASSERT_EQ(t.futilityRank(ref[k]), ref.size() - k);
+            ASSERT_EQ(futilityRank(t, ref[k].line), ref.size() - k);
         }
-        PairKey probe{rng.below(4001), static_cast<std::uint32_t>(
+        LineKey probe{rng.below(4001), static_cast<std::uint32_t>(
                                            rng.below(kLines + 1))};
         ASSERT_EQ(t.countLess(probe), refLess(probe)) << "op " << op;
         bool inRef = std::binary_search(ref.begin(), ref.end(), probe);
@@ -342,16 +416,163 @@ TEST(OrderStatIndex, RandomizedDifferentialAgainstSortedVector)
     EXPECT_GT(t.poolSize(), 50u);
 }
 
+/**
+ * Handle differential: random insert, erase and reKey against a
+ * sorted-vector oracle, checking after every operation that the
+ * handle rank of every present line equals its oracle rank and that
+ * no absent line is held. Before each operation the test reads
+ * which path it will take, and at the end requires that the run
+ * took every one that moves keys: split, merge, even-out, release
+ * of the last block, and reKey both inside one leaf and across
+ * leaves.
+ */
+TEST(OrderStatIndex, HandleRanksMatchOracleThroughEveryRebalance)
+{
+    constexpr int kOps = 40000;
+    constexpr std::uint32_t kLines = 1500;
+    Harness h(kLines);
+    Index &t = h.t;
+    std::vector<LineKey> ref;
+    std::vector<LineKey> keyOf(kLines);
+    std::vector<std::uint8_t> present(kLines, 0);
+    Rng rng(0x5eed);
+    int splits = 0, merges = 0, evenOuts = 0, releases = 0;
+    int inLeaf = 0, crossLeaf = 0;
+
+    auto refLess = [&](const LineKey &k) {
+        return static_cast<std::uint32_t>(
+            std::lower_bound(ref.begin(), ref.end(), k) - ref.begin());
+    };
+    // Predict a rebalance when removing line's key leaves its block
+    // under the minimum fill.
+    auto noteRemoval = [&](LineId line) {
+        std::uint32_t live = Access::liveBlocks(t);
+        std::uint32_t d = Access::entryOf(t, line);
+        if (live == 1 || Access::fill(t, d) != Index::kMinFill)
+            return;
+        std::uint32_t l = d + 1 < live ? d : d - 1;
+        std::uint32_t total =
+            Access::fill(t, l) + Access::fill(t, l + 1) - 1;
+        if (total <= Index::kBlockKeys * 3 / 4)
+            ++merges;
+        else
+            ++evenOuts;
+    };
+
+    for (int op = 0; op < kOps; ++op) {
+        // Triangle wave 0 -> 1200 -> 0, four times.
+        int period = kOps / 4;
+        int phase = op % period;
+        double target = phase < period / 2
+                            ? phase * 1200.0 / (period / 2)
+                            : (period - phase) * 1200.0 / (period / 2);
+        std::uint32_t liveBefore = Access::liveBlocks(t);
+        // Grow toward the target through random lines; shrink
+        // through present ones.
+        bool grow = ref.empty() || ref.size() < target;
+        auto line = grow ? static_cast<LineId>(rng.below(kLines))
+                         : ref[rng.below(ref.size())].line;
+        // Narrow primaries early in each wave keep reKeys in one
+        // leaf; wide ones send them across leaves.
+        std::uint64_t primary = rng.chance(0.5)
+                                    ? keyOf[line].primary + rng.below(3)
+                                    : rng.below(1u << 20);
+        LineKey k{primary, line};
+        if (present[line]) {
+            LineKey old = keyOf[line];
+            if (k == old)
+                continue;
+            if (!grow && rng.chance(0.6)) {
+                noteRemoval(line);
+                t.erase(old);
+                ref.erase(ref.begin() + refLess(old));
+                present[line] = 0;
+                if (liveBefore == 1 && t.empty())
+                    ++releases;
+            } else {
+                std::uint32_t d = Access::entryOf(t, line);
+                if (Access::staysInLeaf(t, d, k)) {
+                    ++inLeaf;
+                } else {
+                    ++crossLeaf;
+                    noteRemoval(line);
+                }
+                t.reKey(old, k);
+                ref.erase(ref.begin() + refLess(old));
+                ref.insert(ref.begin() + refLess(k), k);
+                keyOf[line] = k;
+            }
+        } else {
+            t.insert(k);
+            ref.insert(ref.begin() + refLess(k), k);
+            keyOf[line] = k;
+            present[line] = 1;
+        }
+        std::uint32_t liveAfter = Access::liveBlocks(t);
+        splits += liveAfter > liveBefore;
+
+        ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+        for (std::uint32_t r = 0; r < ref.size(); ++r) {
+            ASSERT_EQ(t.rankOf(ref[r].line), r)
+                << "op " << op << " line " << ref[r].line;
+        }
+        for (LineId l = 0; l < kLines; ++l) {
+            ASSERT_EQ(h.handles.holds(l), present[l] != 0)
+                << "op " << op << " line " << l;
+        }
+        if (op % 499 == 0) {
+            ASSERT_EQ(t.auditInvariants(), "") << "op " << op;
+        }
+    }
+    EXPECT_EQ(t.auditInvariants(), "");
+    EXPECT_GT(splits, 0);
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(evenOuts, 0);
+    EXPECT_GT(releases, 0);
+    EXPECT_GT(inLeaf, 0);
+    EXPECT_GT(crossLeaf, 0);
+}
+
+/** Two indexes share one handle table, as the partitions of a keyed
+ *  ranking do; a line moves between them and each sees only its
+ *  own lines. */
+TEST(OrderStatIndex, SharedHandlesAcrossIndexes)
+{
+    LineHandles handles(400);
+    Index a(handles);
+    Index b(handles);
+    for (std::uint64_t k = 0; k < 200; ++k)
+        a.insert(K(k));
+    for (std::uint64_t k = 200; k < 400; ++k)
+        b.insert(K(k));
+    EXPECT_TRUE(a.holds(10));
+    EXPECT_FALSE(b.holds(10));
+    EXPECT_FALSE(b.contains(K(10)));
+    EXPECT_TRUE(b.holds(210));
+    EXPECT_FALSE(a.holds(210));
+
+    // Move line 10 from a to b, like a partition retag.
+    a.erase(K(10));
+    b.insert(LineKey{1000, 10});
+    EXPECT_FALSE(a.holds(10));
+    EXPECT_TRUE(b.holds(10));
+    EXPECT_EQ(b.rankOf(10), 200u);
+    EXPECT_EQ(a.rankOf(11), 10u);
+    EXPECT_EQ(a.auditInvariants(), "");
+    EXPECT_EQ(b.auditInvariants(), "");
+}
+
 /** Sequential and reversed bulk patterns hit the split and merge
  *  edges at the two ends of the directory. */
 TEST(OrderStatIndex, AscendingFillDescendingDrain)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h(5000);
+    Index &t = h.t;
     for (std::uint64_t k = 0; k < 5000; ++k)
-        t.insert(k);
+        t.insert(K(k));
     EXPECT_EQ(t.auditInvariants(), "");
     for (std::uint64_t k = 5000; k-- > 0;) {
-        t.erase(k);
+        t.erase(K(k));
         if (k % 499 == 0) {
             ASSERT_EQ(t.auditInvariants(), "") << k;
         }
@@ -360,9 +581,9 @@ TEST(OrderStatIndex, AscendingFillDescendingDrain)
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.auditInvariants(), "");
     for (std::uint64_t k = 0; k < 5000; k += 2)
-        t.insert(k);
+        t.insert(K(k));
     for (std::uint64_t k = 0; k < 5000; k += 2)
-        t.erase(k);
+        t.erase(K(k));
     EXPECT_TRUE(t.empty());
     EXPECT_EQ(t.auditInvariants(), "");
 }
@@ -370,22 +591,29 @@ TEST(OrderStatIndex, AscendingFillDescendingDrain)
 /** reKey inside one leaf, across leaves, and to the two ends. */
 TEST(OrderStatIndex, ReKeyMovesKeys)
 {
-    OrderStatIndex<std::uint64_t> t;
+    Harness h;
+    Index &t = h.t;
     for (std::uint64_t k = 1; k <= 300; ++k)
-        t.insert(k * 10);
-    t.reKey(50, 55);     // same leaf, same slot
-    t.reKey(20, 65);     // same leaf, forward
-    t.reKey(3000, 5);    // last leaf to the very front
-    t.reKey(10, 99999);  // front to the very back
-    t.reKey(1500, 1501); // mid leaf, in place
+        t.insert(K(k * 10));
+    // Each key keeps its line (its original value) as it moves.
+    auto move = [&](std::uint64_t from, std::uint64_t to) {
+        t.reKey(K(from), LineKey{to, static_cast<LineId>(from)});
+    };
+    move(50, 55);     // same leaf, same slot
+    move(20, 65);     // same leaf, forward
+    move(3000, 5);    // last leaf to the very front
+    move(10, 99999);  // front to the very back
+    move(1500, 1501); // mid leaf, in place
     EXPECT_EQ(t.auditInvariants(), "");
     EXPECT_EQ(t.size(), 300u);
-    EXPECT_EQ(t.minKey(), 5u);
-    EXPECT_EQ(t.maxKey(), 99999u);
-    EXPECT_FALSE(t.contains(20));
-    EXPECT_TRUE(t.contains(65));
-    EXPECT_EQ(t.countLess(60), 4u); // 5, 30, 40, 55
-    EXPECT_EQ(t.futilityRank(65), 300u - 5u);
+    EXPECT_EQ(t.minKey().primary, 5u);
+    EXPECT_EQ(t.maxKey().primary, 99999u);
+    EXPECT_FALSE(t.contains(K(20)));
+    EXPECT_TRUE(t.contains(LineKey{65, 20}));
+    EXPECT_EQ(t.countLess(K(60)), 4u); // 5, 30, 40, 55
+    EXPECT_EQ(futilityRank(t, 20), 300u - 5u);
+    EXPECT_EQ(t.rankOf(3000), 0u);
+    EXPECT_EQ(t.rankOf(10), 299u);
 }
 
 } // namespace

@@ -22,12 +22,15 @@ TEST(EdgeCases, IndexDescendingInserts)
 {
     // Every insert lands at the front of the first block, so the
     // first block splits over and over.
-    OrderStatIndex<std::uint64_t> t;
+    LineHandles handles(1000);
+    OrderStatIndex<LineKey> t(handles);
     for (std::uint64_t k = 1000; k-- > 0;)
-        t.insert(k);
+        t.insert({k, static_cast<LineId>(k)});
     EXPECT_EQ(t.size(), 1000u);
-    for (std::uint32_t k = 0; k < 1000; k += 111)
-        EXPECT_EQ(t.kth(k), k);
+    for (std::uint32_t k = 0; k < 1000; k += 111) {
+        EXPECT_EQ(t.kth(k).primary, k);
+        EXPECT_EQ(t.rankOf(k), k);
+    }
     EXPECT_EQ(t.auditInvariants(), "");
 }
 

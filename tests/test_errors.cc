@@ -20,43 +20,65 @@ namespace
 
 using ErrorDeathTest = ::testing::Test;
 
+/** An index over lines [0, 8) with its own handle table. */
+struct SmallIndex
+{
+    LineHandles handles{8};
+    OrderStatIndex<LineKey> t{handles};
+};
+
 TEST(ErrorDeathTest, IndexEraseAbsentKey)
 {
-    OrderStatIndex<std::uint64_t> t;
-    t.insert(1);
-    EXPECT_DEATH(t.erase(2), "assertion");
+    SmallIndex s;
+    s.t.insert({1, 1});
+    EXPECT_DEATH(s.t.erase({2, 2}), "assertion");
+    // A held line under another key is absent too.
+    EXPECT_DEATH(s.t.erase({2, 1}), "assertion");
 }
 
 TEST(ErrorDeathTest, IndexEraseFromEmpty)
 {
-    OrderStatIndex<std::uint64_t> t;
-    EXPECT_DEATH(t.erase(2), "assertion");
+    SmallIndex s;
+    EXPECT_DEATH(s.t.erase({2, 2}), "assertion");
 }
 
 TEST(ErrorDeathTest, IndexReKeyAbsentKey)
 {
-    OrderStatIndex<std::uint64_t> t;
-    t.insert(1);
-    EXPECT_DEATH(t.reKey(2, 3), "assertion");
+    SmallIndex s;
+    s.t.insert({1, 1});
+    EXPECT_DEATH(s.t.reKey({2, 2}, {3, 2}), "assertion");
+    EXPECT_DEATH(s.t.reKey({2, 1}, {3, 1}), "assertion");
+}
+
+TEST(ErrorDeathTest, IndexEraseFromAnotherIndex)
+{
+    // Two indexes share one handle table: a line held by one is
+    // absent from the other.
+    SmallIndex s;
+    OrderStatIndex<LineKey> other(s.handles);
+    s.t.insert({1, 1});
+    other.insert({1, 2});
+    EXPECT_DEATH(other.erase({1, 1}), "assertion");
+    EXPECT_DEATH(s.t.insert({5, 2}), "assertion");
 }
 
 TEST(ErrorDeathTest, IndexKthOutOfRange)
 {
-    OrderStatIndex<std::uint64_t> t;
-    t.insert(1);
-    EXPECT_DEATH(t.kth(1), "assertion");
+    SmallIndex s;
+    s.t.insert({1, 1});
+    EXPECT_DEATH(s.t.kth(1), "assertion");
 }
 
 TEST(ErrorDeathTest, IndexMinOfEmpty)
 {
-    OrderStatIndex<std::uint64_t> t;
-    EXPECT_DEATH(t.minKey(), "assertion");
+    SmallIndex s;
+    EXPECT_DEATH(s.t.minKey(), "assertion");
 }
 
 TEST(ErrorDeathTest, IndexMaxOfEmpty)
 {
-    OrderStatIndex<std::uint64_t> t;
-    EXPECT_DEATH(t.maxKey(), "assertion");
+    SmallIndex s;
+    EXPECT_DEATH(s.t.maxKey(), "assertion");
 }
 
 TEST(ErrorDeathTest, TagStoreDoubleInstall)

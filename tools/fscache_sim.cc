@@ -163,7 +163,7 @@ decodeSimCell(const std::string &payload)
     r.timed = dec.u64() != 0;
     r.throughput = dec.f64();
     r.avgQueueing = dec.f64();
-    std::uint64_t threads = dec.u64();
+    std::uint64_t threads = dec.listLength("threads");
     r.threads.reserve(threads);
     for (std::uint64_t p = 0; p < threads; ++p) {
         ThreadReport t;
@@ -175,7 +175,7 @@ decodeSimCell(const std::string &payload)
         t.aef = dec.f64();
         t.mad = dec.f64();
         t.ipc = dec.f64();
-        std::uint64_t bins = dec.u64();
+        std::uint64_t bins = dec.listLength("deviation bins");
         t.devHist.reserve(bins);
         for (std::uint64_t b = 0; b < bins; ++b) {
             std::uint32_t bin = static_cast<std::uint32_t>(dec.u64());
