@@ -43,11 +43,17 @@ struct Result
     double aef1 = 0.0;
     double aef2 = 0.0;
     double occ1 = 0.0;
+    auto fields() { return std::tie(aef1, aef2, occ1); }
 };
 
+using Cell = std::pair<std::uint32_t, SchemeKind>; // R, scheme
+
 Result
-run(SchemeKind scheme, std::uint32_t r)
+run(const Cell &c)
 {
+    const auto [r, scheme] = c;
+    if (!analytic::feasible(0.75, 0.5, r))
+        return {}; // reported as infeasible, nothing to run
     CacheSpec spec;
     spec.array.kind = ArrayKind::RandomCands;
     spec.array.numLines = kLines;
@@ -85,40 +91,50 @@ run(SchemeKind scheme, std::uint32_t r)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Ablation: candidate count R",
                   "FS vs PF associativity and sizing across R "
                   "(75/25 split, equal insertion rates)");
 
+    // Cells 2i and 2i + 1 are FS and PF at rs[i].
+    const std::vector<std::uint32_t> rs{2, 4, 8, 16, 32, 64};
+    std::vector<Cell> cells;
+    for (std::uint32_t r : rs) {
+        cells.push_back({r, SchemeKind::FsAnalytic});
+        cells.push_back({r, SchemeKind::PF});
+    }
+    auto report = bench::sweep("ablation_candidates",
+                               "seed=5;trace-seeds=71,72", cells, run);
+
     TablePrinter table({"R", "x^R AEF", "FS AEF p1", "FS AEF p2",
                         "FS occ p1", "PF AEF p1", "PF AEF p2",
                         "PF occ p1"});
-    for (std::uint32_t r : {2u, 4u, 8u, 16u, 32u, 64u}) {
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        const std::uint32_t r = rs[i];
+        std::vector<std::string> row{
+            TablePrinter::num(std::uint64_t{r}),
+            TablePrinter::num(analytic::uniformCacheAef(r), 3)};
         if (!analytic::feasible(0.75, 0.5, r)) {
-            table.addRow({TablePrinter::num(std::uint64_t{r}),
-                          TablePrinter::num(
-                              analytic::uniformCacheAef(r), 3),
-                          "infeasible", "-", "-", "-", "-", "-"});
+            row.insert(row.end(),
+                       {"infeasible", "-", "-", "-", "-", "-"});
+            table.addRow(std::move(row));
             continue;
         }
-        Result fs = run(SchemeKind::FsAnalytic, r);
-        Result pf = run(SchemeKind::PF, r);
-        table.addRow({TablePrinter::num(std::uint64_t{r}),
-                      TablePrinter::num(
-                          analytic::uniformCacheAef(r), 3),
-                      TablePrinter::num(fs.aef1, 3),
-                      TablePrinter::num(fs.aef2, 3),
-                      TablePrinter::num(fs.occ1, 3),
-                      TablePrinter::num(pf.aef1, 3),
-                      TablePrinter::num(pf.aef2, 3),
-                      TablePrinter::num(pf.occ1, 3)});
+        for (const CellOutcome<Result> &o :
+             {report.cells[2 * i], report.cells[2 * i + 1]}) {
+            row.push_back(bench::num(o, &Result::aef1, 3));
+            row.push_back(bench::num(o, &Result::aef2, 3));
+            row.push_back(bench::num(o, &Result::occ1, 3));
+        }
+        table.addRow(std::move(row));
     }
     table.print(std::cout);
 
     bench::section("feasibility bound S1_max = I1^(1/R), I1 = 0.5");
     TablePrinter bound({"R", "max S1"});
-    for (std::uint32_t r : {2u, 4u, 8u, 16u, 32u, 64u})
+    for (std::uint32_t r : rs)
         bound.addRow({TablePrinter::num(std::uint64_t{r}),
                       TablePrinter::num(std::pow(0.5, 1.0 / r), 3)});
     bound.print(std::cout);

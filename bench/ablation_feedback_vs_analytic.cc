@@ -35,23 +35,31 @@ struct Result
     double mad = 0.0;
     double aef1 = 0.0;
     double aef2 = 0.0;
+    auto fields() { return std::tie(occErr, mad, aef1, aef2); }
+};
+
+struct Variant
+{
+    const char *name;
+    SchemeKind scheme;
+    RankKind rank;
 };
 
 Result
-run(SchemeKind scheme, RankKind rank)
+run(const Variant &v)
 {
     CacheSpec spec;
     spec.array.kind = ArrayKind::RandomCands;
     spec.array.numLines = kLines;
     spec.array.randomCands = 16;
-    spec.ranking = rank;
-    spec.scheme.kind = scheme;
+    spec.ranking = v.rank;
+    spec.scheme.kind = v.scheme;
     spec.numParts = 2;
     spec.seed = 21;
     auto cache = buildCache(spec);
     cache->setTargets({kLines * 7 / 10, kLines * 3 / 10});
 
-    if (scheme == SchemeKind::FsAnalytic) {
+    if (v.scheme == SchemeKind::FsAnalytic) {
         auto &fs =
             dynamic_cast<FutilityScalingAnalytic &>(cache->scheme());
         fs.setScalingFactor(
@@ -82,33 +90,33 @@ run(SchemeKind scheme, RankKind rank)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Ablation: feedback vs analytic FS",
                   "Exact-futility analytic FS vs the 5-register "
                   "feedback design (70/30 split, R = 16)");
 
-    TablePrinter table({"variant", "occupancy err", "MAD (lines)",
-                        "AEF p1", "AEF p2"});
-    struct Variant
-    {
-        const char *name;
-        SchemeKind scheme;
-        RankKind rank;
-    };
-    const Variant variants[] = {
+    const std::vector<Variant> variants{
         {"analytic + exact futility", SchemeKind::FsAnalytic,
          RankKind::ExactLru},
         {"feedback + exact LRU", SchemeKind::Fs, RankKind::ExactLru},
         {"feedback + coarse 8-bit TS", SchemeKind::Fs,
          RankKind::CoarseTsLru},
     };
-    for (const Variant &v : variants) {
-        Result r = run(v.scheme, v.rank);
-        table.addRow({v.name, TablePrinter::num(r.occErr, 4),
-                      TablePrinter::num(r.mad, 1),
-                      TablePrinter::num(r.aef1, 3),
-                      TablePrinter::num(r.aef2, 3)});
+    auto report = bench::sweep("ablation_feedback_vs_analytic",
+                               "seed=21;trace-seeds=911,912", variants,
+                               run);
+
+    TablePrinter table({"variant", "occupancy err", "MAD (lines)",
+                        "AEF p1", "AEF p2"});
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const CellOutcome<Result> &o = report.cells[i];
+        table.addRow({variants[i].name,
+                      bench::num(o, &Result::occErr, 4),
+                      bench::num(o, &Result::mad, 1),
+                      bench::num(o, &Result::aef1, 3),
+                      bench::num(o, &Result::aef2, 3)});
     }
     table.print(std::cout);
     return 0;

@@ -31,11 +31,23 @@ struct Result
 {
     double aefUnpart = 0.0;
     double fsOccErr = 0.0;
+    auto fields() { return std::tie(aefUnpart, fsOccErr); }
+};
+
+struct Config
+{
+    const char *name;
+    ArrayKind array;
+    HashKind hash;
 };
 
 Result
-run(ArrayKind array, HashKind hash)
+run(const Config &c)
 {
+    const ArrayKind array = c.array;
+    const HashKind hash = c.hash;
+    const std::uint64_t accesses = bench::scaled(50000);
+    const std::uint64_t warmup = bench::scaled(25000);
     Result res;
 
     // Unpartitioned associativity with an mcf-like stream.
@@ -55,9 +67,7 @@ run(ArrayKind array, HashKind hash)
         std::vector<std::unique_ptr<TraceSource>> src;
         src.push_back(makeBenchmarkTrace("mcf", threadBaseAddr(0),
                                          Rng(811)));
-        driveByInsertionRate(*cache, src, {1.0},
-                             bench::scaled(50000),
-                             bench::scaled(25000), 3);
+        driveByInsertionRate(*cache, src, {1.0}, accesses, warmup, 3);
         res.aefUnpart = cache->assocDist(0).aef();
     }
 
@@ -81,9 +91,8 @@ run(ArrayKind array, HashKind hash)
         src.push_back(makeBenchmarkTrace("mcf", threadBaseAddr(1),
                                          Rng(813)));
         std::vector<double> prefill{0.75, 0.25};
-        driveByInsertionRate(*cache, src, {0.5, 0.5},
-                             bench::scaled(50000),
-                             bench::scaled(25000), 3, &prefill);
+        driveByInsertionRate(*cache, src, {0.5, 0.5}, accesses, warmup,
+                             3, &prefill);
         double occ1 = cache->deviation(0).meanOccupancy();
         res.fsOccErr =
             std::abs(occ1 - kLines * 0.75) / (kLines * 0.75);
@@ -94,30 +103,30 @@ run(ArrayKind array, HashKind hash)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Ablation: index hashing",
                   "Hash quality vs the Uniformity Assumption "
                   "(16-way set-assoc vs ideal random candidates)");
 
-    TablePrinter table({"array/hash", "unpartitioned AEF",
-                        "FS occupancy err (75% part)"});
-    struct Config
-    {
-        const char *name;
-        ArrayKind array;
-        HashKind hash;
-    };
-    const Config configs[] = {
+    const std::vector<Config> configs{
         {"setassoc/modulo", ArrayKind::SetAssoc, HashKind::Modulo},
         {"setassoc/xorfold", ArrayKind::SetAssoc, HashKind::XorFold},
         {"setassoc/h3", ArrayKind::SetAssoc, HashKind::H3},
         {"random (ideal)", ArrayKind::RandomCands, HashKind::H3},
     };
-    for (const Config &cfg : configs) {
-        Result r = run(cfg.array, cfg.hash);
-        table.addRow({cfg.name, TablePrinter::num(r.aefUnpart, 3),
-                      TablePrinter::num(r.fsOccErr, 4)});
+    auto report = bench::sweep("ablation_hashing",
+                               "seed=2;trace-seeds=811,812,813", configs,
+                               run);
+
+    TablePrinter table({"array/hash", "unpartitioned AEF",
+                        "FS occupancy err (75% part)"});
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const CellOutcome<Result> &o = report.cells[i];
+        table.addRow({configs[i].name,
+                      bench::num(o, &Result::aefUnpart, 3),
+                      bench::num(o, &Result::fsOccErr, 4)});
     }
     table.print(std::cout);
     std::printf("\nIdeal reference: AEF = R/(R+1) = %.3f for "

@@ -29,24 +29,34 @@ const std::vector<std::string> kMix{"mcf", "gromacs", "cactusadm",
 struct Result
 {
     double occErr = 0.0;
-    double missRatio[4] = {};
-    double ipc[4] = {};
+    std::vector<double> missRatio; ///< per thread of kMix
+    std::vector<double> ipc;       ///< per thread of kMix
+    auto fields() { return std::tie(occErr, missRatio, ipc); }
+};
+
+struct Entry
+{
+    const char *name;
+    RankKind rank;
 };
 
 Result
-run(RankKind rank, const Workload &wl)
+run(const Entry &e)
 {
     CacheSpec spec;
     spec.array.kind = ArrayKind::SetAssoc;
     spec.array.numLines = kLines;
     spec.array.ways = 16;
-    spec.ranking = rank;
+    spec.ranking = e.rank;
     spec.scheme.kind = SchemeKind::Fs;
     spec.numParts = 4;
     spec.seed = 3;
     auto cache = buildCache(spec);
     cache->setTargets(equalShare(kLines, 4));
 
+    Workload wl = Workload::mix(kMix, bench::scaled(200000), 4242);
+    if (e.rank == RankKind::Opt)
+        wl.annotateNextUse();
     TimingConfig cfg;
     cfg.warmupFraction = 0.3;
     TimingSim sim(*cache, wl, cfg);
@@ -58,8 +68,8 @@ run(RankKind rank, const Workload &wl)
             std::abs(cache->deviation(p).meanOccupancy() -
                      kLines / 4.0) /
             (kLines / 4.0) / 4.0;
-        res.missRatio[p] = cache->stats(p).missRatio();
-        res.ipc[p] = sim.perf(p).ipc();
+        res.missRatio.push_back(cache->stats(p).missRatio());
+        res.ipc.push_back(sim.perf(p).ipc());
     }
     return res;
 }
@@ -67,41 +77,35 @@ run(RankKind rank, const Workload &wl)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Ablation: futility rankings under FS",
                   "FS with coarse-LRU / exact LRU / LFU / RRIP / "
                   "OPT on a heterogeneous mix (4MB, equal targets)");
 
-    const std::uint64_t accesses = bench::scaled(200000);
-    Workload wl = Workload::mix(kMix, accesses, 4242);
-    Workload wl_opt = Workload::mix(kMix, accesses, 4242);
-    wl_opt.annotateNextUse();
+    const std::vector<Entry> entries{
+        {"coarse-ts-lru", RankKind::CoarseTsLru},
+        {"exact lru", RankKind::ExactLru},
+        {"lfu", RankKind::Lfu},
+        {"rrip", RankKind::Rrip},
+        {"opt (ideal)", RankKind::Opt},
+    };
+    auto report = bench::sweep("ablation_rankings", "seed=3;wl-seed=4242",
+                               entries, run);
 
     TablePrinter table({"ranking", "occ err", "mcf IPC",
                         "gromacs IPC", "cactusadm IPC", "lbm IPC",
                         "cactusadm missratio"});
-    struct Entry
-    {
-        const char *name;
-        RankKind rank;
-        bool needsOpt;
-    };
-    const Entry entries[] = {
-        {"coarse-ts-lru", RankKind::CoarseTsLru, false},
-        {"exact lru", RankKind::ExactLru, false},
-        {"lfu", RankKind::Lfu, false},
-        {"rrip", RankKind::Rrip, false},
-        {"opt (ideal)", RankKind::Opt, true},
-    };
-    for (const Entry &e : entries) {
-        Result r = run(e.rank, e.needsOpt ? wl_opt : wl);
-        table.addRow({e.name, TablePrinter::num(r.occErr, 4),
-                      TablePrinter::num(r.ipc[0], 3),
-                      TablePrinter::num(r.ipc[1], 3),
-                      TablePrinter::num(r.ipc[2], 3),
-                      TablePrinter::num(r.ipc[3], 3),
-                      TablePrinter::num(r.missRatio[2], 3)});
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const CellOutcome<Result> &o = report.cells[i];
+        table.addRow(
+            {entries[i].name, bench::num(o, &Result::occErr, 4),
+             bench::num(o, &Result::ipc, 0, 3),
+             bench::num(o, &Result::ipc, 1, 3),
+             bench::num(o, &Result::ipc, 2, 3),
+             bench::num(o, &Result::ipc, 3, 3),
+             bench::num(o, &Result::missRatio, 2, 3)});
     }
     table.print(std::cout);
     std::printf("\nSizing is ranking-independent; the ranking only "

@@ -29,20 +29,27 @@ struct Result
     double forcedRate = 0.0;
     double occupancyFrac = 0.0;
     std::uint32_t nominalR = 0;
+    auto fields() { return std::tie(forcedRate, occupancyFrac, nominalR); }
+};
+
+struct Config
+{
+    const char *name;
+    ArrayKind array;
+    std::uint32_t levels;
 };
 
 Result
-run(ArrayKind array, std::uint32_t walk_levels,
-    std::uint64_t accesses)
+run(const Config &c)
 {
     constexpr std::uint32_t kSubjects = 13;
     CacheSpec spec;
-    spec.array.kind = array;
+    spec.array.kind = c.array;
     spec.array.numLines = kL2Lines;
     spec.array.ways = 16;
     spec.array.hash = HashKind::XorFold;
     spec.array.banks = 4;
-    spec.array.walkLevels = walk_levels;
+    spec.array.walkLevels = c.levels;
     spec.ranking = RankKind::CoarseTsLru;
     spec.scheme.kind = SchemeKind::Vantage;
     spec.numParts = kThreads;
@@ -53,7 +60,8 @@ run(ArrayKind array, std::uint32_t walk_levels,
         static_cast<LineId>(kL2Lines * managed), kThreads,
         kSubjects, kSubjectLines));
 
-    Workload wl = Workload::mix(qosMix(kSubjects), accesses, 777);
+    Workload wl =
+        Workload::mix(qosMix(kSubjects), bench::scaled(60000), 777);
     runUntimed(*cache, wl, 0.3);
 
     auto &vantage = dynamic_cast<VantageScheme &>(cache->scheme());
@@ -74,36 +82,37 @@ run(ArrayKind array, std::uint32_t walk_levels,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Ablation: Vantage vs array candidates",
                   "Forced-eviction rate and subject occupancy, "
                   "16-way set-assoc vs zcache walks (13 subjects)");
 
-    const std::uint64_t accesses = bench::scaled(60000);
-
-    TablePrinter table({"array", "nominal R", "(1-u)^R theory",
-                        "forced-eviction rate",
-                        "subject occupancy/target"});
-    struct Config
-    {
-        const char *name;
-        ArrayKind array;
-        std::uint32_t levels;
-    };
-    const Config configs[] = {
+    const std::vector<Config> configs{
         {"setassoc 16-way", ArrayKind::SetAssoc, 1},
         {"zcache 4-bank 1-level", ArrayKind::ZCache, 1},
         {"zcache 4-bank 2-level", ArrayKind::ZCache, 2},
         {"zcache 4-bank 3-level", ArrayKind::ZCache, 3},
     };
-    for (const Config &cfg : configs) {
-        Result r = run(cfg.array, cfg.levels, accesses);
+    auto report = bench::sweep("ablation_vantage_array",
+                               "seed=23;wl-seed=777", configs, run);
+
+    TablePrinter table({"array", "nominal R", "(1-u)^R theory",
+                        "forced-eviction rate",
+                        "subject occupancy/target"});
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const CellOutcome<Result> &o = report.cells[i];
         table.addRow(
-            {cfg.name, TablePrinter::num(std::uint64_t{r.nominalR}),
-             TablePrinter::num(std::pow(0.9, r.nominalR), 4),
-             TablePrinter::num(r.forcedRate, 4),
-             TablePrinter::num(r.occupancyFrac, 3)});
+            {configs[i].name,
+             o.ok() ? TablePrinter::num(std::uint64_t{o.value->nominalR})
+                    : bench::failedMarker(o),
+             bench::num(
+                 o,
+                 [](const Result &r) { return std::pow(0.9, r.nominalR); },
+                 4),
+             bench::num(o, &Result::forcedRate, 4),
+             bench::num(o, &Result::occupancyFrac, 3)});
     }
     table.print(std::cout);
     std::printf("\nMore candidates => fewer forced evictions => "

@@ -1,49 +1,53 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction benches: a standard
- * header banner, workload-scale control, and common builders.
+ * header banner, workload-scale control, and the one sweep call
+ * every simulating driver makes.
  *
  * Every bench prints the paper artifact it regenerates, the system
  * configuration, and its trace scale. Set FS_BENCH_SCALE to scale
  * simulated accesses (default 1.0; e.g. 0.2 for a quick pass, 4 for
  * tighter statistics).
+ *
+ * Driver shape (docs/RUNNER.md): a list of cells, one
+ * bench::sweep() call, then a pure print step over its report.
  */
 
 #ifndef FSCACHE_BENCH_BENCH_UTIL_HH
 #define FSCACHE_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/arg_parser.hh"
 #include "core/fscache.hh"
-#include "runner/cell_guard.hh"
+#include "runner/sweep_runner.hh"
 
 namespace fscache
 {
 namespace bench
 {
 
-/** Workload-scale multiplier from FS_BENCH_SCALE (default 1). */
+/** Workload-scale multiplier from FS_BENCH_SCALE (default 1); a
+ *  malformed value, or one outside (0, 2^32], is fatal. */
 inline double
 scale()
 {
-    static const double s = [] {
-        const char *env = std::getenv("FS_BENCH_SCALE");
-        if (env == nullptr)
-            return 1.0;
-        double v = std::atof(env);
-        return v > 0.0 ? v : 1.0;
-    }();
+    static const double s =
+        parseEnvScale("FS_BENCH_SCALE", 1.0, 4294967296.0);
     return s;
 }
 
-/** Scale an access count by FS_BENCH_SCALE. */
+/** Scale an access count by FS_BENCH_SCALE. Counts below 2^32 times
+ *  a scale of at most 2^32 always fit the 64-bit cast. */
 inline std::uint64_t
 scaled(std::uint64_t accesses)
 {
+    fs_assert(accesses >> 32 == 0, "base count too large to scale");
     return static_cast<std::uint64_t>(accesses * scale());
 }
 
@@ -82,23 +86,52 @@ failedMarker(const CellOutcome<R> &o)
     return std::string("FAILED(") + failureLabel(o) + ")";
 }
 
-/**
- * Print the quarantine manifest of a resilient sweep to stderr and
- * return true when any cell failed. Prints nothing on a clean sweep
- * so fault-free output stays byte-identical to the pre-guard
- * drivers. The manifest excludes wall times — it is deterministic
- * for deterministic faults.
- */
-template <typename R>
-bool
-reportQuarantined(const SweepReport<R> &report, const char *sweep)
+/** TablePrinter::num of `pick` (a member pointer or a callable)
+ *  applied to a cell's value, or its FAILED marker. */
+template <typename R, typename Pick>
+std::string
+num(const CellOutcome<R> &o, Pick &&pick, int precision)
 {
-    std::vector<ManifestEntry> f = report.failures();
-    if (f.empty())
-        return false;
-    std::fprintf(stderr, "[%s] %s", sweep,
-                 renderManifest(f).c_str());
-    return true;
+    if (!o.ok())
+        return failedMarker(o);
+    return TablePrinter::num(std::invoke(pick, *o.value), precision);
+}
+
+/** num() of element k of a list field. */
+template <typename R>
+std::string
+num(const CellOutcome<R> &o, std::vector<double> R::*list,
+    std::size_t k, int precision)
+{
+    return num(o, [&](const R &r) { return (r.*list)[k]; }, precision);
+}
+
+/**
+ * Run a figure's cells: fn(cells[i]) for each, resilient and
+ * checkpointed, results encoded by their fields() (encodeFields in
+ * runner/checkpoint.hh). `key` names what identifies the sweep
+ * besides the cell count (seeds); the parsed FS_BENCH_SCALE is
+ * appended, so a resume at another scale restores nothing stale.
+ * Prints the quarantine manifest (deterministic; nothing on a clean
+ * sweep) to stderr and fails the driver when every cell failed.
+ */
+template <typename Cell, typename Fn>
+auto
+sweep(const char *name, const std::string &key,
+      const std::vector<Cell> &cells, Fn &&fn)
+    -> SweepReport<std::invoke_result_t<Fn &, const Cell &>>
+{
+    using R = std::invoke_result_t<Fn &, const Cell &>;
+    SweepRunner runner;
+    SweepReport<R> report = runner.mapResilientCheckpointed(
+        cells.size(), [&](std::size_t i) { return fn(cells[i]); },
+        name, strprintf("%s;scale=%a", key.c_str(), scale()),
+        encodeFields<R>, decodeFields<R>);
+    if (!report.allOk())
+        std::fprintf(stderr, "[%s] %s", name, report.manifest().c_str());
+    if (report.okCount() == 0)
+        fatal("[%s] every cell failed; no results to report", name);
+    return report;
 }
 
 } // namespace bench

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "runner/sweep_runner.hh"
 
 using namespace fscache;
 
@@ -36,13 +35,20 @@ struct RunResult
     std::vector<double> cdf;
     std::uint64_t misses = 0;
     double ipc = 0.0;
+    auto fields() { return std::tie(aef, cdf, misses, ipc); }
+};
+
+struct Cell
+{
+    std::string benchmark;
+    std::uint32_t n;
+    ArrayKind array;
 };
 
 RunResult
-run(const std::string &benchmark, std::uint32_t n,
-    std::uint64_t accesses_per_thread,
-    ArrayKind array = ArrayKind::SetAssoc)
+run(const Cell &c)
 {
+    const auto &[benchmark, n, array] = c;
     std::fprintf(stderr, "[fig2] %s N=%u %s...\n", benchmark.c_str(),
                  n, array == ArrayKind::SetAssoc ? "sa" : "rand");
     CacheSpec spec;
@@ -60,8 +66,11 @@ run(const std::string &benchmark, std::uint32_t n,
         std::vector<std::uint32_t>(n, kLinesPerPart));
     cache->setDeviationSampleInterval(13);
 
+    // 63x this number of accesses are simulated per benchmark (the
+    // N-partition workloads sum to 63 threads); raise
+    // FS_BENCH_SCALE for tighter statistics.
     Workload wl = Workload::duplicate(benchmark, n,
-                                      accesses_per_thread, 1234);
+                                      bench::scaled(150000), 1234);
     wl.annotateNextUse();
 
     TimingConfig cfg;
@@ -90,62 +99,25 @@ main(int argc, char **argv)
                   "PF associativity degradation vs partition count "
                   "(512KB/partition, 16-way, OPT ranking)");
 
-    // 63x this number of accesses are simulated per benchmark (the
-    // N-partition workloads sum to 63 threads); raise
-    // FS_BENCH_SCALE for tighter statistics.
-    const std::uint64_t accesses = bench::scaled(150000);
-
     const std::vector<std::string> benches{
         "mcf",   "omnetpp",    "gromacs", "h264ref",
         "astar", "cactusadm", "libquantum", "lbm"};
 
-    // Every (benchmark x N x array) run is one independent sweep
-    // cell with hard-coded seeds, so the sharded runs below produce
-    // exactly the serial values; rows 0..7 are the set-assoc runs
-    // of `benches` and row 8 is mcf on the ideal array. The sweep
-    // is resilient (failing cells render as FAILED(class)) and
-    // checkpointed: with FS_CHECKPOINT_DIR set, a killed run
-    // resumes from the completed cells with byte-identical output.
+    // One cell per (benchmark x N x array) run, each with
+    // hard-coded seeds: rows 0..7 are the set-assoc runs of
+    // `benches` and row 8 is mcf on the ideal array.
     const std::size_t rows = benches.size() + 1;
     const std::size_t cols = kPartCounts.size();
-    SweepRunner runner;
-    auto report = runner.mapResilientCheckpointed(
-        rows * cols,
-        [&](std::size_t i) {
-            std::size_t row = i / cols, col = i % cols;
+    std::vector<Cell> cells;
+    for (std::size_t row = 0; row < rows; ++row) {
+        for (std::uint32_t n : kPartCounts) {
             if (row == benches.size())
-                return run("mcf", kPartCounts[col], accesses,
-                           ArrayKind::RandomCands);
-            return run(benches[row], kPartCounts[col], accesses);
-        },
-        "fig2",
-        strprintf("fig2;accesses=%llu;benches=%zu;seed=7",
-                  static_cast<unsigned long long>(accesses),
-                  benches.size()),
-        [](const RunResult &r) {
-            CellEncoder e;
-            e.f64(r.aef).u64(r.misses).f64(r.ipc).u64(r.cdf.size());
-            for (double v : r.cdf)
-                e.f64(v);
-            return e.result();
-        },
-        [](const std::string &payload) {
-            CellDecoder d(payload);
-            RunResult r;
-            r.aef = d.f64();
-            r.misses = d.u64();
-            r.ipc = d.f64();
-            r.cdf.resize(d.listLength("cdf"));
-            for (double &v : r.cdf)
-                v = d.f64();
-            return r;
-        });
-    bench::reportQuarantined(report, "fig2");
-    if (report.okCount() == 0) {
-        std::fprintf(stderr, "[fig2] every cell failed; no results "
-                             "to report\n");
-        return 1;
+                cells.push_back({"mcf", n, ArrayKind::RandomCands});
+            else
+                cells.push_back({benches[row], n, ArrayKind::SetAssoc});
+        }
     }
+    auto report = bench::sweep("fig2", "seed=7;wl-seed=1234", cells, run);
     auto cellAt = [&](std::size_t row, std::size_t col)
         -> const CellOutcome<RunResult> & {
         return report.cells[row * cols + col];
@@ -162,20 +134,13 @@ main(int argc, char **argv)
                             "SA CDF@0.8"});
     for (std::size_t i = 0; i < kPartCounts.size(); ++i) {
         const CellOutcome<RunResult> &sa = cellAt(0, i);
-        const CellOutcome<RunResult> &ideal =
-            cellAt(benches.size(), i);
-        std::string sa_mark = bench::failedMarker(sa);
         aef_table.addRow(
             {TablePrinter::num(std::uint64_t{kPartCounts[i]}),
-             sa.ok() ? TablePrinter::num(sa.value->aef, 3) : sa_mark,
-             ideal.ok() ? TablePrinter::num(ideal.value->aef, 3)
-                        : bench::failedMarker(ideal),
-             sa.ok() ? TablePrinter::num(sa.value->cdf[3], 3)
-                     : sa_mark,
-             sa.ok() ? TablePrinter::num(sa.value->cdf[5], 3)
-                     : sa_mark,
-             sa.ok() ? TablePrinter::num(sa.value->cdf[7], 3)
-                     : sa_mark});
+             bench::num(sa, &RunResult::aef, 3),
+             bench::num(cellAt(benches.size(), i), &RunResult::aef, 3),
+             bench::num(sa, &RunResult::cdf, 3, 3),
+             bench::num(sa, &RunResult::cdf, 5, 3),
+             bench::num(sa, &RunResult::cdf, 7, 3)});
     }
     aef_table.print(std::cout);
     std::printf("(worst case is the diagonal CDF: AEF = 0.5; paper "

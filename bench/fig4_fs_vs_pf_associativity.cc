@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "runner/sweep_runner.hh"
 #include "trace/benchmark_profiles.hh"
 
 using namespace fscache;
@@ -35,11 +34,15 @@ struct Result
     double aef1 = 0.0;
     double aef2 = 0.0;
     std::vector<double> cdf2; // partition 2 CDF at 0.1..1.0
+    auto fields() { return std::tie(aef1, aef2, cdf2); }
 };
 
+using Cell = std::pair<SchemeKind, double>; // scheme, S1
+
 Result
-run(SchemeKind scheme, double s1)
+run(const Cell &c)
 {
+    const auto [scheme, s1] = c;
     CacheSpec spec;
     spec.array.kind = ArrayKind::RandomCands;
     spec.array.numLines = kLines;
@@ -80,22 +83,22 @@ run(SchemeKind scheme, double s1)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Figure 4",
                   "Associativity CDF of FS vs PF, two mcf threads, "
                   "2MB random-candidates cache, R = 16, I1/I2 = 1");
 
-    // 2 splits x 2 schemes = 4 independent cells (fixed seeds per
-    // cell), sharded by SweepRunner; grid[i] = {FS, PF} at splits[i].
+    // Cells 2i and 2i + 1 are FS and PF at splits[i].
     const std::vector<double> splits{0.9, 0.6};
-    SweepRunner runner;
-    auto grid = runner.mapGrid(
-        splits.size(), 2, [&](std::size_t i, std::size_t scheme) {
-            return run(scheme == 0 ? SchemeKind::FsAnalytic
-                                   : SchemeKind::PF,
-                       splits[i]);
-        });
+    std::vector<Cell> cells;
+    for (double s1 : splits) {
+        cells.push_back({SchemeKind::FsAnalytic, s1});
+        cells.push_back({SchemeKind::PF, s1});
+    }
+    auto report =
+        bench::sweep("fig4", "seed=42;trace-seeds=1001,1002", cells, run);
 
     TablePrinter table({"scheme", "S1/S2", "AEF part1", "AEF part2",
                         "analytic AEF part2"});
@@ -109,26 +112,25 @@ main()
             1.0, analytic::scalingFactorTwoPart(s1, 0.5, kR)};
         double model_aef2 = analytic::fsAef(parts, alphas, kR, 1);
 
-        const Result &fs = grid[i][0];
-        const Result &pf = grid[i][1];
+        const CellOutcome<Result> &fs = report.cells[2 * i];
+        const CellOutcome<Result> &pf = report.cells[2 * i + 1];
         std::string split = strprintf("%.0f/%.0f", s1 * 10,
                                       (1.0 - s1) * 10);
-        table.addRow({"FS", split, TablePrinter::num(fs.aef1, 3),
-                      TablePrinter::num(fs.aef2, 3),
+        table.addRow({"FS", split, bench::num(fs, &Result::aef1, 3),
+                      bench::num(fs, &Result::aef2, 3),
                       TablePrinter::num(model_aef2, 3)});
-        table.addRow({"PF", split, TablePrinter::num(pf.aef1, 3),
-                      TablePrinter::num(pf.aef2, 3), "-"});
+        table.addRow({"PF", split, bench::num(pf, &Result::aef1, 3),
+                      bench::num(pf, &Result::aef2, 3), "-"});
 
-        for (const auto &[name, r] :
-             {std::pair<const char *, const Result &>{"FS", fs},
-              {"PF", pf}}) {
-            cdf.addRow({name, TablePrinter::num(1.0 - s1, 1),
-                        TablePrinter::num(r.cdf2[1], 3),
-                        TablePrinter::num(r.cdf2[3], 3),
-                        TablePrinter::num(r.cdf2[5], 3),
-                        TablePrinter::num(r.cdf2[7], 3),
-                        TablePrinter::num(r.cdf2[8], 3),
-                        TablePrinter::num(r.cdf2[9], 3)});
+        for (const CellOutcome<Result> *r : {&fs, &pf}) {
+            cdf.addRow({r == &fs ? "FS" : "PF",
+                        TablePrinter::num(1.0 - s1, 1),
+                        bench::num(*r, &Result::cdf2, 1, 3),
+                        bench::num(*r, &Result::cdf2, 3, 3),
+                        bench::num(*r, &Result::cdf2, 5, 3),
+                        bench::num(*r, &Result::cdf2, 7, 3),
+                        bench::num(*r, &Result::cdf2, 8, 3),
+                        bench::num(*r, &Result::cdf2, 9, 3)});
         }
     }
     table.print(std::cout);

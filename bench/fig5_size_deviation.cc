@@ -30,11 +30,15 @@ struct Result
     double mad = 0.0;
     double bias = 0.0;
     std::vector<double> cdf; // P(|dev| <= x) at x in steps of 32
+    auto fields() { return std::tie(mad, bias, cdf); }
 };
 
+using Cell = std::pair<SchemeKind, double>; // scheme, I1
+
 Result
-run(SchemeKind scheme, double i1)
+run(const Cell &c)
 {
+    const auto [scheme, i1] = c;
     CacheSpec spec;
     spec.array.kind = ArrayKind::RandomCands;
     spec.array.numLines = kLines;
@@ -79,26 +83,33 @@ run(SchemeKind scheme, double i1)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Figure 5",
                   "Partition 1 size deviation, FS vs PF, equal "
                   "split, 2MB random-candidates cache, R = 16");
 
+    std::vector<Cell> cells;
+    for (double i1 : {0.1, 0.5})
+        for (SchemeKind k : {SchemeKind::FsAnalytic, SchemeKind::PF})
+            cells.push_back({k, i1});
+    auto report =
+        bench::sweep("fig5", "seed=17;trace-seeds=2001,2002", cells, run);
+
     TablePrinter table({"scheme", "I1", "MAD (lines)", "bias",
                         "P(|dev|<=32)", "P(|dev|<=128)",
                         "P(|dev|<=256)"});
-    for (double i1 : {0.1, 0.5}) {
-        for (SchemeKind k : {SchemeKind::FsAnalytic, SchemeKind::PF}) {
-            Result r = run(k, i1);
-            table.addRow({k == SchemeKind::PF ? "PF" : "FS",
-                          TablePrinter::num(i1, 1),
-                          TablePrinter::num(r.mad, 1),
-                          TablePrinter::num(r.bias, 1),
-                          TablePrinter::num(r.cdf[0], 3),
-                          TablePrinter::num(r.cdf[3], 3),
-                          TablePrinter::num(r.cdf[7], 3)});
-        }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &[scheme, i1] = cells[i];
+        const CellOutcome<Result> &r = report.cells[i];
+        table.addRow({scheme == SchemeKind::PF ? "PF" : "FS",
+                      TablePrinter::num(i1, 1),
+                      bench::num(r, &Result::mad, 1),
+                      bench::num(r, &Result::bias, 1),
+                      bench::num(r, &Result::cdf, 0, 3),
+                      bench::num(r, &Result::cdf, 3, 3),
+                      bench::num(r, &Result::cdf, 7, 3)});
     }
     table.print(std::cout);
     std::printf("\nExpected: PF MAD < ~2 lines; FS MAD tens of "

@@ -36,27 +36,46 @@ struct QosResult
     double occupancyFrac = 0.0; ///< mean subject occupancy / target
     double aef = 0.0;           ///< mean subject AEF
     double abnormality = -1.0;  ///< PriSM only
+    auto
+    fields()
+    {
+        return std::tie(valid, occupancyFrac, aef, abnormality);
+    }
+};
+
+struct Cell
+{
+    RankKind rank;
+    std::uint32_t subjects;
+    std::size_t scheme; ///< index into qosSchemes()
 };
 
 QosResult
-run(const QosScheme &scheme, std::uint32_t subjects, RankKind rank,
-    const Workload &wl)
+run(const Cell &c)
 {
-    auto cache = buildQosCache(scheme, subjects, rank, 99);
+    const QosScheme &scheme = qosSchemes()[c.scheme];
+    std::fprintf(stderr, "[fig7] %s Nsub=%u %s...\n",
+                 c.rank == RankKind::Opt ? "OPT" : "LRU", c.subjects,
+                 scheme.name.c_str());
+    auto cache = buildQosCache(scheme, c.subjects, c.rank, 99);
     if (!cache)
         return {};
 
+    Workload wl =
+        Workload::mix(qosMix(c.subjects), bench::scaled(60000), 555);
+    if (c.rank == RankKind::Opt)
+        wl.annotateNextUse();
     runUntimed(*cache, wl, 0.3);
 
     QosResult res;
     res.valid = true;
-    for (std::uint32_t p = 0; p < subjects; ++p) {
+    for (std::uint32_t p = 0; p < c.subjects; ++p) {
         res.occupancyFrac += cache->deviation(p).meanOccupancy() /
                              kSubjectLines;
         res.aef += cache->assocDist(p).aef();
     }
-    res.occupancyFrac /= subjects;
-    res.aef /= subjects;
+    res.occupancyFrac /= c.subjects;
+    res.aef /= c.subjects;
     if (auto *prism = dynamic_cast<PrismScheme *>(&cache->scheme()))
         res.abnormality = prism->abnormalityRate();
     return res;
@@ -65,19 +84,30 @@ run(const QosScheme &scheme, std::uint32_t subjects, RankKind rank,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    procExecutorInit(&argc, argv); // farm workers re-enter here
     bench::banner("Figure 7",
                   "QoS occupancy and associativity of subject "
                   "threads (gromacs subjects @256KB + lbm "
                   "background, 32 threads, 8MB L2)");
 
     const std::vector<std::uint32_t> subject_counts{1, 13, 25, 31};
-    const std::uint64_t accesses = bench::scaled(60000);
+    const std::size_t schemes = qosSchemes().size();
 
-    for (RankKind rank : {RankKind::CoarseTsLru, RankKind::Opt}) {
+    // One cell per (ranking x mix x scheme), in that nesting order;
+    // each generates its own mix.
+    const RankKind ranks[] = {RankKind::CoarseTsLru, RankKind::Opt};
+    std::vector<Cell> cells;
+    for (RankKind rank : ranks)
+        for (std::uint32_t n : subject_counts)
+            for (std::size_t s = 0; s < schemes; ++s)
+                cells.push_back({rank, n, s});
+    auto report = bench::sweep("fig7", "seed=99;wl-seed=555", cells, run);
+
+    for (std::size_t r = 0; r < 2; ++r) {
         const char *rank_name =
-            rank == RankKind::CoarseTsLru ? "LRU" : "OPT";
+            ranks[r] == RankKind::CoarseTsLru ? "LRU" : "OPT";
 
         TablePrinter occ({"scheme", "Nsub=1", "Nsub=13", "Nsub=25",
                           "Nsub=31"});
@@ -85,37 +115,22 @@ main()
                           "Nsub=31"});
         double prism_abnormality = 0.0;
         int prism_samples = 0;
-
-        // One workload per mix, shared by every scheme.
-        std::vector<std::vector<QosResult>> results(
-            qosSchemes().size());
-        for (std::uint32_t n : subject_counts) {
-            Workload wl = Workload::mix(qosMix(n), accesses, 555);
-            if (rank == RankKind::Opt)
-                wl.annotateNextUse();
-            for (std::size_t s = 0; s < qosSchemes().size(); ++s) {
-                std::fprintf(stderr, "[fig7] %s Nsub=%u %s...\n",
-                             rank_name, n,
-                             qosSchemes()[s].name.c_str());
-                results[s].push_back(
-                    run(qosSchemes()[s], n, rank, wl));
-            }
-        }
-
-        for (std::size_t s = 0; s < qosSchemes().size(); ++s) {
+        for (std::size_t s = 0; s < schemes; ++s) {
             std::vector<std::string> occ_row{qosSchemes()[s].name};
             std::vector<std::string> aef_row{qosSchemes()[s].name};
-            for (const QosResult &r : results[s]) {
-                if (!r.valid) {
+            for (std::size_t n = 0; n < subject_counts.size(); ++n) {
+                const CellOutcome<QosResult> &o = report.cells[
+                    (r * subject_counts.size() + n) * schemes + s];
+                if (o.ok() && !o.value->valid) {
                     occ_row.push_back("n/a");
                     aef_row.push_back("n/a");
                     continue;
                 }
                 occ_row.push_back(
-                    TablePrinter::num(r.occupancyFrac, 3));
-                aef_row.push_back(TablePrinter::num(r.aef, 3));
-                if (r.abnormality >= 0.0) {
-                    prism_abnormality += r.abnormality;
+                    bench::num(o, &QosResult::occupancyFrac, 3));
+                aef_row.push_back(bench::num(o, &QosResult::aef, 3));
+                if (o.ok() && o.value->abnormality >= 0.0) {
+                    prism_abnormality += o.value->abnormality;
                     ++prism_samples;
                 }
             }

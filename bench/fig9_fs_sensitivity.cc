@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "qos_common.hh"
-#include "runner/sweep_runner.hh"
 
 using namespace fscache;
 using namespace fscache::bench;
@@ -27,10 +26,11 @@ struct SensResult
     double occErr = 0.0; ///< mean |occupancy - target| / target
     double mad = 0.0;    ///< mean subject MAD (lines)
     double aef = 0.0;    ///< mean subject AEF
+    auto fields() { return std::tie(occErr, mad, aef); }
 };
 
 SensResult
-run(const FsFeedbackConfig &fs_cfg, std::uint64_t accesses)
+run(const FsFeedbackConfig &fs_cfg)
 {
     constexpr std::uint32_t kSubjects = 16;
     CacheSpec spec;
@@ -48,7 +48,8 @@ run(const FsFeedbackConfig &fs_cfg, std::uint64_t accesses)
                                     kSubjectLines));
     cache->setDeviationSampleInterval(13);
 
-    Workload wl = Workload::mix(qosMix(kSubjects), accesses, 321);
+    Workload wl =
+        Workload::mix(qosMix(kSubjects), bench::scaled(80000), 321);
     runUntimed(*cache, wl, 0.3);
 
     SensResult res;
@@ -78,8 +79,6 @@ main(int argc, char **argv)
                   "FS feedback parameters: interval length l and "
                   "changing ratio, 16-subject QoS mix");
 
-    const std::uint64_t accesses = bench::scaled(80000);
-
     // One cell per parameter point: cells 0..5 sweep the interval
     // length, cells 6..8 sweep the changing ratio. Every cell
     // builds its own cache/workload from fixed seeds, so the
@@ -97,48 +96,13 @@ main(int argc, char **argv)
         cfg.changingRatio = ratio;
         cells.push_back(cfg);
     }
-    // Resilient + checkpointed: a failing parameter point renders
-    // as FAILED(class) instead of killing the study, and with
-    // FS_CHECKPOINT_DIR set a killed run resumes byte-identically.
-    SweepRunner runner;
-    auto report = runner.mapResilientCheckpointed(
-        cells.size(),
-        [&](std::size_t i) { return run(cells[i], accesses); },
-        "fig9",
-        strprintf("fig9;accesses=%llu;lengths=%zu;ratios=%zu;"
-                  "seed=31",
-                  static_cast<unsigned long long>(accesses),
-                  lengths.size(), ratios.size()),
-        [](const SensResult &r) {
-            CellEncoder e;
-            e.f64(r.occErr).f64(r.mad).f64(r.aef);
-            return e.result();
-        },
-        [](const std::string &payload) {
-            CellDecoder d(payload);
-            SensResult r;
-            r.occErr = d.f64();
-            r.mad = d.f64();
-            r.aef = d.f64();
-            return r;
-        });
-    bench::reportQuarantined(report, "fig9");
-    if (report.okCount() == 0) {
-        std::fprintf(stderr, "[fig9] every cell failed; no results "
-                             "to report\n");
-        return 1;
-    }
-    auto addRow = [&](TablePrinter &table, std::string label,
-                      const CellOutcome<SensResult> &c) {
-        if (!c.ok()) {
-            std::string mark = bench::failedMarker(c);
-            table.addRow({std::move(label), mark, mark, mark});
-            return;
-        }
+    auto report = bench::sweep("fig9", "seed=31;wl-seed=321", cells, run);
+    auto addRow = [](TablePrinter &table, std::string label,
+                     const CellOutcome<SensResult> &c) {
         table.addRow({std::move(label),
-                      TablePrinter::num(c.value->occErr, 4),
-                      TablePrinter::num(c.value->mad, 1),
-                      TablePrinter::num(c.value->aef, 3)});
+                      bench::num(c, &SensResult::occErr, 4),
+                      bench::num(c, &SensResult::mad, 1),
+                      bench::num(c, &SensResult::aef, 3)});
     };
 
     bench::section("interval length l (changing ratio = 2)");

@@ -1,7 +1,6 @@
 #include "alloc/static_alloc.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hh"
 
@@ -52,17 +51,6 @@ proportionalShare(LineId total_lines,
         ++out[best];
         ++assigned;
     }
-    return out;
-}
-
-Allocation
-scaleAllocation(const Allocation &alloc, double fraction)
-{
-    fs_assert(fraction > 0.0 && fraction <= 1.0, "bad scale fraction");
-    Allocation out(alloc.size());
-    for (std::size_t p = 0; p < alloc.size(); ++p)
-        out[p] = static_cast<std::uint32_t>(
-            std::floor(alloc[p] * fraction));
     return out;
 }
 

@@ -26,9 +26,6 @@ Allocation equalShare(LineId total_lines, std::uint32_t parts);
 Allocation proportionalShare(LineId total_lines,
                              const std::vector<double> &fractions);
 
-/** Scale an allocation by `fraction` (Vantage managed region). */
-Allocation scaleAllocation(const Allocation &alloc, double fraction);
-
 } // namespace fscache
 
 #endif // FSCACHE_ALLOC_STATIC_ALLOC_HH

@@ -70,6 +70,19 @@ parseDoubleArg(const std::string &flag, const std::string &token)
     return v;
 }
 
+double
+parseEnvScale(const char *name, double fallback, double hi)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    double v = parseDoubleArg(name, env);
+    if (!(v > 0.0 && v <= hi))
+        fatal("option '%s': \"%s\" is out of range (0, %g]", name, env,
+              hi);
+    return v;
+}
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)),
       description_(std::move(description))

@@ -58,6 +58,13 @@ envKnob(const char *name, T fallback, T lo = 0)
 double parseDoubleArg(const std::string &flag,
                       const std::string &token);
 
+/**
+ * Checked scale FS_* environment knob: unset or empty yields
+ * `fallback`; any other value must parse as parseDoubleArg() does
+ * and lie in (0, hi], else fatal naming the variable.
+ */
+double parseEnvScale(const char *name, double fallback, double hi);
+
 /** See file comment. */
 class ArgParser
 {

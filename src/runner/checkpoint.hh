@@ -40,6 +40,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
+
+#include "common/errors.hh"
 
 namespace fscache
 {
@@ -92,6 +97,64 @@ class CellDecoder
     std::string buf_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Generic exact-round-trip codec for sweep results. A result type
+ * lists its fields once, in wire order, e.g.
+ *     auto fields() { return std::tie(aef, misses, cdf); }
+ * Fields may be double, any integer type or bool, or
+ * std::vector<double> (length-prefixed). `r` is taken by value
+ * because fields() ties mutable members.
+ */
+template <typename R>
+std::string
+encodeFields(R r)
+{
+    CellEncoder e;
+    auto put = [&e]<typename T>(const T &v) {
+        if constexpr (std::is_integral_v<T>) {
+            e.u64(static_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            e.f64(v);
+        } else {
+            static_assert(std::is_same_v<T, std::vector<double>>);
+            e.u64(v.size());
+            for (double x : v)
+                e.f64(x);
+        }
+    };
+    std::apply([&put](const auto &...f) { (put(f), ...); }, r.fields());
+    return e.result();
+}
+
+/** Inverse of encodeFields(); throws FsError on a malformed payload,
+ *  an out-of-range integer or trailing tokens included. */
+template <typename R>
+R
+decodeFields(const std::string &payload)
+{
+    CellDecoder d(payload);
+    auto get = [&d]<typename T>(T &v) {
+        if constexpr (std::is_integral_v<T>) {
+            const std::uint64_t raw = d.u64();
+            v = static_cast<T>(raw);
+            if (static_cast<std::uint64_t>(v) != raw)
+                throw FsError("checkpoint payload: integer field out "
+                              "of range");
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = d.f64();
+        } else {
+            v.resize(d.listLength("list"));
+            for (double &x : v)
+                x = d.f64();
+        }
+    };
+    R r;
+    std::apply([&get](auto &...f) { (get(f), ...); }, r.fields());
+    if (!d.done())
+        throw FsError("checkpoint payload: trailing tokens");
+    return r;
+}
 
 /** See file comment. */
 class CheckpointJournal

@@ -84,7 +84,7 @@ class SweepRunner
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
         static_assert(!std::is_void_v<R>,
-                      "use forEach() for void cell functions");
+                      "cell functions must return a result");
         std::vector<R> out;
         out.reserve(cells);
         if (jobs_ <= 1 || cells <= 1) {
@@ -98,31 +98,6 @@ class SweepRunner
         });
         for (std::optional<R> &s : slots)
             out.push_back(std::move(*s));
-        return out;
-    }
-
-    /**
-     * Grid variant: fn(row, col) over a rows x cols cross product
-     * (e.g. benchmark x partition-count). Returns results[row][col].
-     */
-    template <typename Fn>
-    auto
-    mapGrid(std::size_t rows, std::size_t cols, Fn &&fn)
-        -> std::vector<
-            std::vector<std::invoke_result_t<Fn &, std::size_t,
-                                             std::size_t>>>
-    {
-        auto flat = map(rows * cols, [&fn, cols](std::size_t i) {
-            return fn(i / cols, i % cols);
-        });
-        using R =
-            std::invoke_result_t<Fn &, std::size_t, std::size_t>;
-        std::vector<std::vector<R>> out(rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-            out[r].reserve(cols);
-            for (std::size_t c = 0; c < cols; ++c)
-                out[r].push_back(std::move(flat[r * cols + c]));
-        }
         return out;
     }
 
@@ -189,10 +164,11 @@ class SweepRunner
      * worker reaches *earlier* in the driver is recomputed inline,
      * serially and unjournaled, so main() proceeds identically.
      *
-     * @param encode R -> payload string (use CellEncoder for exact
-     *        round-trips)
-     * @param decode payload string -> R (CellDecoder; may throw —
-     *        an undecodable record recomputes that cell)
+     * @param encode R -> payload string (encodeFields<R>, or a
+     *        CellEncoder for exact round-trips)
+     * @param decode payload string -> R (decodeFields<R> or a
+     *        CellDecoder; may throw — an undecodable record
+     *        recomputes that cell)
      */
     template <typename Fn, typename Enc, typename Dec>
     auto
@@ -302,19 +278,6 @@ class SweepRunner
             runPooled(missing.size(), guarded);
         }
         return report;
-    }
-
-    /** map() for cell functions with no result. */
-    template <typename Fn>
-    void
-    forEach(std::size_t cells, Fn &&fn)
-    {
-        if (jobs_ <= 1 || cells <= 1) {
-            for (std::size_t i = 0; i < cells; ++i)
-                fn(i);
-            return;
-        }
-        runPooled(cells, fn);
     }
 
   private:

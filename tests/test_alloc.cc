@@ -44,14 +44,6 @@ TEST(StaticAlloc, ProportionalRounding)
         EXPECT_GE(v, 3u);
 }
 
-TEST(StaticAlloc, ScaleForManagedRegion)
-{
-    Allocation a{100, 200};
-    Allocation s = scaleAllocation(a, 0.9);
-    EXPECT_EQ(s[0], 90u);
-    EXPECT_EQ(s[1], 180u);
-}
-
 TEST(QosAlloc, PaperConfiguration)
 {
     // 8MB / 64B = 131072 lines; 4 subjects at 4096 lines each;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 #include "common/arg_parser.hh"
@@ -156,6 +157,33 @@ TEST(ArgParserDeathTest, CheckedParsersRejectMalformedTokens)
                 ::testing::ExitedWithCode(1), "empty value");
     EXPECT_EXIT(parseInt64Arg("--n", "99999999999999999999999"),
                 ::testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(ArgParser, EnvScaleParsesValidValues)
+{
+    unsetenv("FS_TEST_SCALE");
+    EXPECT_EQ(parseEnvScale("FS_TEST_SCALE", 1.0, 100.0), 1.0);
+    setenv("FS_TEST_SCALE", "0.2", 1);
+    const double s = parseEnvScale("FS_TEST_SCALE", 1.0, 100.0);
+    EXPECT_EQ(s, 0.2);
+    unsetenv("FS_TEST_SCALE");
+}
+
+TEST(ArgParserDeathTest, EnvScaleRejectsBadValuesNamingTheKnob)
+{
+    // A typo, non-finite and non-positive values, and a finite one
+    // whose scaled counts would not fit a 64-bit count (the cast in
+    // bench::scaled() would be undefined behaviour).
+    for (const char *bad : {"abc", "0.5x", "inf", "nan", "-1", "0",
+                            "1e30"}) {
+        EXPECT_EXIT(
+            {
+                setenv("FS_BENCH_SCALE", bad, 1);
+                parseEnvScale("FS_BENCH_SCALE", 1.0, 4294967296.0);
+            },
+            ::testing::ExitedWithCode(1), "option 'FS_BENCH_SCALE'")
+            << bad;
+    }
 }
 
 TEST(ArgParserDeathTest, FlagWithValueIsFatal)

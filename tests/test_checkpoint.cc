@@ -111,6 +111,54 @@ TEST(CellCodec, GarbagePayloadThrowsTyped)
     EXPECT_THROW(d.u64(), FsError);
 }
 
+/** A result listing its fields once, as the figure drivers do. */
+struct FieldsResult
+{
+    bool valid = false;
+    std::uint32_t count = 0;
+    std::int64_t delta = 0;
+    double ratio = 0.0;
+    std::vector<double> curve;
+
+    auto fields() { return std::tie(valid, count, delta, ratio, curve); }
+};
+
+TEST(FieldsCodec, RoundTripsEveryFieldKindBitExactly)
+{
+    FieldsResult r;
+    r.valid = true;
+    r.count = std::numeric_limits<std::uint32_t>::max();
+    r.delta = -42;
+    r.ratio = cellDouble(5);
+    r.curve = {-0.0, 1e-310, cellDouble(9)};
+    FieldsResult back =
+        decodeFields<FieldsResult>(encodeFields(r));
+    EXPECT_TRUE(back.valid);
+    EXPECT_EQ(back.count, r.count);
+    EXPECT_EQ(back.delta, -42);
+    EXPECT_EQ(back.ratio, r.ratio);
+    ASSERT_EQ(back.curve.size(), 3u);
+    EXPECT_TRUE(std::signbit(back.curve[0]));
+    EXPECT_EQ(back.curve[1], 1e-310);
+    EXPECT_EQ(back.curve[2], r.curve[2]);
+    // An empty list round-trips too.
+    EXPECT_TRUE(decodeFields<FieldsResult>(encodeFields(FieldsResult{}))
+                    .curve.empty());
+}
+
+TEST(FieldsCodec, MalformedPayloadsThrowTyped)
+{
+    const std::string good = encodeFields(FieldsResult{});
+    // Truncated, trailing tokens, an out-of-range bool or uint32, and
+    // a list length larger than the payload.
+    EXPECT_THROW(decodeFields<FieldsResult>("1 2"), FsError);
+    EXPECT_THROW(decodeFields<FieldsResult>(good + " 0"), FsError);
+    EXPECT_THROW(decodeFields<FieldsResult>("2 0 0 0 0"), FsError);
+    EXPECT_THROW(decodeFields<FieldsResult>("0 100000000 0 0 0"),
+                 FsError);
+    EXPECT_THROW(decodeFields<FieldsResult>("0 0 0 0 ffff"), FsError);
+}
+
 TEST(Fingerprint, DiffersAcrossKeys)
 {
     EXPECT_NE(fingerprint64("fig2;cells=54"),

@@ -92,21 +92,6 @@ TEST(SweepRunner, MapPreservesCellOrder)
         EXPECT_EQ(out[i], i * i);
 }
 
-TEST(SweepRunner, MapGridRowColIndexing)
-{
-    SweepRunner runner(2);
-    auto grid = runner.mapGrid(3, 5, [](std::size_t r,
-                                        std::size_t c) {
-        return 10 * r + c;
-    });
-    ASSERT_EQ(grid.size(), 3u);
-    for (std::size_t r = 0; r < 3; ++r) {
-        ASSERT_EQ(grid[r].size(), 5u);
-        for (std::size_t c = 0; c < 5; ++c)
-            EXPECT_EQ(grid[r][c], 10 * r + c);
-    }
-}
-
 TEST(SweepRunner, ExceptionInCellPropagates)
 {
     SweepRunner runner(4);
@@ -119,12 +104,12 @@ TEST(SweepRunner, ExceptionInCellPropagates)
                  std::runtime_error);
     // Serial path throws too.
     SweepRunner serial(1);
-    EXPECT_THROW(serial.forEach(4,
-                                [](std::size_t i) {
-                                    if (i == 2)
-                                        throw std::runtime_error(
-                                            "boom");
-                                }),
+    EXPECT_THROW(serial.map(4,
+                            [](std::size_t i) {
+                                if (i == 2)
+                                    throw std::runtime_error("boom");
+                                return i;
+                            }),
                  std::runtime_error);
 }
 

@@ -250,21 +250,6 @@ TEST(SweepRunnerStress, ThrowingCellsUnderLoad)
     }));
 }
 
-TEST(SweepRunnerStress, ForEachWritesVisibleAfterReturn)
-{
-    // waitIdle() must publish every cell's writes to the caller
-    // (happens-before edge); under TSan a missing edge is a report,
-    // in normal builds a lost write fails the check.
-    constexpr std::size_t kCells = 1024;
-    std::vector<std::uint64_t> slots(kCells, 0);
-    SweepRunner runner(hwJobs());
-    runner.forEach(kCells, [&slots](std::size_t i) {
-        slots[i] = cellHash(i, 16);
-    });
-    for (std::size_t i = 0; i < kCells; ++i)
-        ASSERT_EQ(slots[i], cellHash(i, 16)) << "cell " << i;
-}
-
 TEST(SweepRunnerStress, ResilientSweepUnderFaultStorm)
 {
     // Guard + pool under TSan: quarantined cells, transient retries
