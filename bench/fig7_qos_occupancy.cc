@@ -33,9 +33,11 @@ namespace
 struct QosResult
 {
     bool valid = false;
-    double occupancyFrac = 0.0; ///< mean subject occupancy / target
-    double aef = 0.0;           ///< mean subject AEF
-    double abnormality = -1.0;  ///< PriSM only
+    /// Means over the subjects with samples (evictions for the
+    /// AEF); -1 when no subject has any, printed "n/a".
+    double occupancyFrac = -1.0; ///< mean subject occupancy / target
+    double aef = -1.0;           ///< mean subject AEF
+    double abnormality = -1.0;   ///< PriSM only
     auto
     fields()
     {
@@ -67,15 +69,27 @@ run(const Cell &c)
         wl.annotateNextUse();
     runUntimed(*cache, wl, 0.3);
 
+    // An empty tracker's mean reads 0.0, the worst possible value,
+    // so subjects that never evicted (or were never sampled) are
+    // left out of the means rather than averaged in.
+    double occ = 0.0, aef = 0.0;
+    std::uint32_t occ_n = 0, aef_n = 0;
+    for (std::uint32_t p = 0; p < c.subjects; ++p) {
+        if (cache->deviation(p).samples() > 0) {
+            occ += cache->deviation(p).meanOccupancy() / kSubjectLines;
+            ++occ_n;
+        }
+        if (cache->assocDist(p).evictions() > 0) {
+            aef += cache->assocDist(p).aef();
+            ++aef_n;
+        }
+    }
     QosResult res;
     res.valid = true;
-    for (std::uint32_t p = 0; p < c.subjects; ++p) {
-        res.occupancyFrac += cache->deviation(p).meanOccupancy() /
-                             kSubjectLines;
-        res.aef += cache->assocDist(p).aef();
-    }
-    res.occupancyFrac /= c.subjects;
-    res.aef /= c.subjects;
+    if (occ_n > 0)
+        res.occupancyFrac = occ / occ_n;
+    if (aef_n > 0)
+        res.aef = aef / aef_n;
     if (auto *prism = dynamic_cast<PrismScheme *>(&cache->scheme()))
         res.abnormality = prism->abnormalityRate();
     return res;
@@ -103,7 +117,10 @@ main(int argc, char **argv)
         for (std::uint32_t n : subject_counts)
             for (std::size_t s = 0; s < schemes; ++s)
                 cells.push_back({rank, n, s});
-    auto report = bench::sweep("fig7", "seed=99;wl-seed=555", cells, run);
+    // "means=sampled": journals from drivers that averaged empty
+    // trackers in as 0.0 are not restored.
+    auto report = bench::sweep(
+        "fig7", "seed=99;wl-seed=555;means=sampled", cells, run);
 
     for (std::size_t r = 0; r < 2; ++r) {
         const char *rank_name =
@@ -126,9 +143,13 @@ main(int argc, char **argv)
                     aef_row.push_back("n/a");
                     continue;
                 }
-                occ_row.push_back(
-                    bench::num(o, &QosResult::occupancyFrac, 3));
-                aef_row.push_back(bench::num(o, &QosResult::aef, 3));
+                auto mean = [&](double QosResult::*m) {
+                    return o.ok() && (*o.value).*m < 0.0
+                               ? std::string("n/a")
+                               : bench::num(o, m, 3);
+                };
+                occ_row.push_back(mean(&QosResult::occupancyFrac));
+                aef_row.push_back(mean(&QosResult::aef));
                 if (o.ok() && o.value->abnormality >= 0.0) {
                     prism_abnormality += o.value->abnormality;
                     ++prism_samples;

@@ -26,7 +26,6 @@
 #include "bench_util.hh"
 #include "runner/sweep_runner.hh"
 #include "stats/json_writer.hh"
-#include "trace/trace_buffer.hh"
 
 using namespace fscache;
 
@@ -97,11 +96,6 @@ runCell(std::size_t cell)
  * it is over half the wall time and would swamp any engine change).
  * Counts every issued access, warmup included — the engine replays
  * them all.
- *
- * FS_BENCH_SERIAL_REPLAY=1 drives the same probe through the
- * per-access API instead of accessBatch — the A/B knob behind the
- * before/after entries in BENCH_access_engine.json (the results are
- * byte-identical either way; only the wall time differs).
  */
 double
 timeBatchedReplay(std::uint64_t &issued_out)
@@ -116,41 +110,6 @@ timeBatchedReplay(std::uint64_t &issued_out)
             issued += wl.thread(t).trace.size();
     }
 
-    const char *ab = std::getenv("FS_BENCH_SERIAL_REPLAY");
-    const bool serial_replay = ab != nullptr && *ab == '1';
-
-    // The pre-batching replay loop (one access() call per record,
-    // same round-robin order), kept as the A/B reference.
-    auto replay_serial = [](PartitionedCache &cache,
-                            const Workload &wl) {
-        const std::uint32_t nt = wl.threadCount();
-        std::vector<std::uint64_t> pos(nt, 0);
-        bool any = true;
-        std::uint64_t done = 0;
-        std::uint64_t total = 0;
-        for (std::uint32_t t = 0; t < nt; ++t)
-            total += wl.thread(t).trace.size();
-        std::uint64_t warmup =
-            static_cast<std::uint64_t>(0.2 * total);
-        bool reset = false;
-        while (any) {
-            any = false;
-            for (std::uint32_t t = 0; t < nt; ++t) {
-                const TraceBuffer &trace = wl.thread(t).trace;
-                if (pos[t] >= trace.size())
-                    continue;
-                any = true;
-                const Access &acc = trace[pos[t]++];
-                cache.access(static_cast<PartId>(t), acc.addr,
-                             acc.nextUse);
-                if (!reset && ++done >= warmup) {
-                    cache.resetStats();
-                    reset = true;
-                }
-            }
-        }
-    };
-
     // Best of two passes: each pass rebuilds every cache and
     // replays identically (fresh state, deterministic), so the min
     // measures the engine rather than scheduler noise.
@@ -162,10 +121,7 @@ timeBatchedReplay(std::uint64_t &issued_out)
             auto cache = buildCache(spec);
             cache->setTargets({spec.array.numLines / 2,
                                spec.array.numLines / 2});
-            if (serial_replay)
-                replay_serial(*cache, workloads[cell]);
-            else
-                runUntimed(*cache, workloads[cell], 0.2);
+            runUntimed(*cache, workloads[cell], 0.2);
         }
         auto t1 = std::chrono::steady_clock::now();
         double secs =

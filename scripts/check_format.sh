@@ -32,7 +32,7 @@ if [ -z "$base" ]; then
 fi
 
 changed=$(git diff --name-only --diff-filter=ACMR "$base" -- \
-              '*.cc' '*.hh' | grep -v '^tools/lint_fixtures/' || true)
+              '*.cc' '*.hh' | grep -v '^tools/analyze_fixtures/' || true)
 if [ -z "$changed" ]; then
     echo "check_format: no changed C++ files vs $base"
     exit 0

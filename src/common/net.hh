@@ -21,7 +21,7 @@
  * Everything here is blocking-with-timeout and EINTR-safe; nothing
  * allocates on a hot path (frames are sweep-cell sized and
  * per-cell-frequency). All syscall return values are checked — the
- * unchecked-net lint rule (tools/fscache_lint.py) holds callers
+ * unchecked-net rule (tools/fscache_analyze.py) holds callers
  * elsewhere to the same bar.
  */
 

@@ -30,7 +30,7 @@ Histogram::add(double x)
 {
     ++counts_[binFor(x)];
     ++samples_;
-    // fs-lint: float-accum(naive-sum) support is a bounded [lo, hi]
+    // fs-analyze: float-accum(naive-sum) support is a bounded [lo, hi]
     // interval, so the running sum cannot lose catastrophic precision
     sum_ += x;
 }
@@ -95,7 +95,7 @@ Histogram::merge(const Histogram &other)
     for (std::uint32_t b = 0; b < bins(); ++b)
         counts_[b] += other.counts_[b];
     samples_ += other.samples_;
-    sum_ += other.sum_;  // fs-lint: float-accum(naive-sum) see add()
+    sum_ += other.sum_;  // fs-analyze: float-accum(naive-sum) see add()
 }
 
 } // namespace fscache

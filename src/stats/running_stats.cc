@@ -19,8 +19,9 @@ RunningStats::add(double x)
     }
     ++n_;
     double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);  // fs-lint: float-accum(welford)
-    m2_ += delta * (x - mean_);  // fs-lint: float-accum(welford)
+    // fs-analyze: float-accum(welford)
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);  // fs-analyze: float-accum(welford)
 }
 
 double
@@ -50,10 +51,10 @@ AbsDeviationStats::add(double x)
 {
     ++n_;
     double d = x - reference_;
-    // fs-lint: float-accum(naive-sum) deviations are O(1)-magnitude and
+    // fs-analyze: float-accum(naive-sum) deviations are O(1)-magnitude and
     // sample counts bounded by trace length; error << reported digits
     signedSum_ += d;
-    absSum_ += d < 0 ? -d : d;  // fs-lint: float-accum(naive-sum)
+    absSum_ += d < 0 ? -d : d;  // fs-analyze: float-accum(naive-sum)
 }
 
 void

@@ -10,11 +10,13 @@
  *  - feedback FS converges to targets on a real set-assoc array;
  *  - PF's associativity collapses as N -> R (Fig. 2);
  *  - PriSM's abnormality rate explodes at N = 2R (Sec. VIII.A);
- *  - miss curves decrease with cache size.
+ *  - miss curves decrease with cache size;
+ *  - a fixed seed reproduces golden counters and analytic values.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analytic/assoc_model.hh"
@@ -39,6 +41,20 @@ reuseSource(Addr base, std::uint64_t max_depth, std::uint64_t seed)
     cfg.maxResident = max_depth * 2;
     cfg.meanInstrGap = 1;
     return std::make_unique<StackDistGenerator>(cfg, base, Rng(seed));
+}
+
+/** Largest gap between a partition's eviction-futility CDF and
+ *  `model`, over the 100 histogram bin edges (a Kolmogorov-Smirnov
+ *  distance). */
+template <typename Model>
+double
+cdfGap(const AssocDistribution &dist, Model model)
+{
+    double worst = 0.0;
+    for (int b = 0; b < 100; ++b)
+        worst = std::max(worst, std::fabs(dist.cdfAt((b + 0.5) / 100) -
+                                          model((b + 1) / 100.0)));
+    return worst;
 }
 
 TEST(Integration, RandomCandsFollowsXPowerRLaw)
@@ -220,6 +236,73 @@ TEST(Integration, FsDeviationSmallButNonzero)
     double mad = cache->deviation(0).mad();
     EXPECT_GT(mad, 0.0);
     EXPECT_LT(mad, kLines * 0.02);
+}
+
+/** The whole x^R CDF, not just its mean and one point, and its R = 1
+ *  counterpart: a random ranking evicts uniform futility. */
+TEST(Integration, XPowerRLawHoldsAsFullCdf)
+{
+    for (RankKind rank : {RankKind::ExactLru, RankKind::Random}) {
+        CacheSpec spec;
+        spec.array.kind = ArrayKind::RandomCands;
+        spec.array.numLines = 8192;
+        spec.array.randomCands = 16;
+        spec.ranking = rank;
+        spec.scheme.kind = SchemeKind::None;
+        spec.numParts = 1;
+        auto cache = buildCache(spec);
+
+        const bool lru = rank == RankKind::ExactLru;
+        std::vector<std::unique_ptr<TraceSource>> src;
+        src.push_back(reuseSource(0, 1 << 15, lru ? 77 : 78));
+        driveByInsertionRate(*cache, src, {1.0}, 60000, 20000, 3);
+
+        double r = lru ? 16.0 : 1.0;
+        EXPECT_LT(cdfGap(cache->assocDist(0),
+                         [r](double x) { return std::pow(x, r); }),
+                  0.03)
+            << (lru ? "ExactLru" : "Random");
+    }
+}
+
+/**
+ * Golden determinism: a fixed seed must always produce the exact
+ * same counters. Guards against accidental behavioural drift in
+ * any layer (generator, hashing, ranking, scheme). If a change is
+ * *intended* to alter behaviour, update the golden values.
+ */
+TEST(Golden, FixedSeedCountersStable)
+{
+    CacheSpec spec;
+    spec.array.kind = ArrayKind::SetAssoc;
+    spec.array.numLines = 4096;
+    spec.array.ways = 16;
+    spec.array.hash = HashKind::XorFold;
+    spec.ranking = RankKind::CoarseTsLru;
+    spec.scheme.kind = SchemeKind::Fs;
+    spec.numParts = 2;
+    spec.seed = 2024;
+    auto run = [&] {
+        auto cache = buildCache(spec);
+        cache->setTargets({3072, 1024});
+        Workload wl = Workload::mix({"gromacs", "lbm"}, 30000, 77);
+        runUntimed(*cache, wl, 0.2);
+        return std::make_pair(cache->stats(0).misses,
+                              cache->stats(1).misses);
+    };
+    auto a = run();
+    auto b = run();
+    EXPECT_EQ(a, b);
+    // Golden values for this exact configuration and seed.
+    EXPECT_EQ(a.first + a.second, 27045u);
+}
+
+TEST(Golden, AnalyticValuesStable)
+{
+    EXPECT_NEAR(analytic::scalingFactorTwoPart(0.9, 0.5, 16),
+                1.6241134, 1e-6);
+    EXPECT_NEAR(analytic::scalingFactorTwoPart(0.8, 0.1, 16),
+                2.8348467, 1e-6);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 // Fixture: node-based hash containers on the per-access hot path.
-// Violation line numbers are pinned by fscache_lint.py --self-test.
+// Violation line numbers are pinned by fscache_analyze.py --self-test.
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,7 +19,7 @@ bool lookupTwice(BadTagStore &ts, unsigned long long addr)
     return local.count(addr) != 0;
 }
 
-// fs-lint: allow(hot-path-container) fixture: cold-path config table,
+// fs-analyze: allow(hot-path-container) fixture: cold-path config table,
 // built once at construction and never touched per access
 std::unordered_map<int, int> allowedConfig_;
 

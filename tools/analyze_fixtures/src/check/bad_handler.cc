@@ -1,5 +1,5 @@
 // Fixture: a signal handler doing non-async-signal-safe work. The
-// linter self-test pins every flagged line below.
+// analyzer self-test pins every flagged line below.
 
 #include <csignal>
 #include <cstdio>

@@ -10,6 +10,6 @@ leakyGoodbye(int fd, const void *buf, unsigned long len)
     ::recv(fd, nullptr, len, 0);
     connect(fd, nullptr, 0);
     accept(fd, nullptr, nullptr);
-    // fs-lint: allow(unchecked-net) best-effort goodbye frame
+    // fs-analyze: allow(unchecked-net) best-effort goodbye frame
     send(fd, buf, len, 0);
 }

@@ -1,5 +1,5 @@
 // Fixture: ad-hoc randomness in ranking code. Line numbers of the
-// deliberate violations are pinned by fscache_lint.py --self-test.
+// deliberate violations are pinned by fscache_analyze.py --self-test.
 #include <cstdlib>
 #include <random>
 
@@ -14,6 +14,6 @@ unsigned bad2()
 }
 unsigned bad3(unsigned seed) { std::mt19937 g(seed); return g(); }
 
-// fs-lint: allow(raw-random) fixture: demonstrating the suppression syntax
+// fs-analyze: allow(raw-random) fixture: demonstrating the suppression syntax
 int allowed() { return std::rand(); }
 } // namespace fixture

@@ -1,5 +1,5 @@
 // Fixture: wall-clock reads in simulation code. Line numbers of the
-// deliberate violations are pinned by fscache_lint.py --self-test.
+// deliberate violations are pinned by fscache_analyze.py --self-test.
 #include <chrono>
 #include <ctime>
 
@@ -18,7 +18,10 @@ long bad3() {
     return time(0);
 }
 
-// fs-lint: allow(wall-clock) fixture: progress meter only, never in results
+// fs-analyze: allow(wall-clock) fixture: progress meter only, never in results
 long allowed() { return std::time(nullptr); }
+
+// fs-analyze: allow(wall-clock)
+long emptyWhy() { return std::time(nullptr); } // BAD: allow() has no why
 
 } // namespace fixture

@@ -2,10 +2,12 @@
  * @file
  * determinism-pass fixture (tools/fscache_analyze.py --self-test):
  * hash containers hidden behind an alias in a result-aggregation
- * scope (src/sim). The regex lint cannot see through `TenantMap` or
- * `auto`; the type-aware pass must.
+ * scope (src/sim). The unordered-aggregation text rule sees only the
+ * alias's own line; the type-aware pass must see through `TenantMap`
+ * and `auto`.
  *
  * Expected findings:
+ *   - the TenantMap alias line: unordered-aggregation (direct spelling)
  *   - byTenant_: field whose canonical type is unordered_map
  *   - report: range-for over byTenant_ (hash iteration order)
  *   - report::scratch: local whose canonical type is unordered_map

@@ -1,6 +1,6 @@
 // Fixture: unpoliced float accumulation and hash containers in
 // result-aggregation code. Violation line numbers are pinned by
-// fscache_lint.py --self-test.
+// fscache_analyze.py --self-test.
 #include <unordered_map>
 
 namespace fixture
@@ -18,7 +18,7 @@ class BadStats
     void
     addPoliced(double x)
     {
-        policed_ += x;  // fs-lint: float-accum(naive-sum) fixture demo
+        policed_ += x;  // fs-analyze: float-accum(naive-sum) fixture demo
     }
     std::unordered_map<int, int> byId_;
 
@@ -47,7 +47,7 @@ double viaStdAccumulate(const std::vector<double> &xs)
 
 double policedViaStdAccumulate(const std::vector<double> &xs)
 {
-    // fs-lint: float-accum(naive-sum) fixture demo
+    // fs-analyze: float-accum(naive-sum) fixture demo
     return std::accumulate(xs.begin(), xs.end(), 0.0);
 }
 

@@ -8,7 +8,7 @@ parseKnobs(const std::string &s)
 {
     int v = std::stoi(s);
     double d = std::stod(s);
-    // fs-lint: allow(unchecked-sto) fixture: token pre-validated upstream
+    // fs-analyze: allow(unchecked-sto) fixture: token pre-validated upstream
     unsigned long long u = std::stoull(s);
     return v + static_cast<int>(d) + static_cast<int>(u);
 }

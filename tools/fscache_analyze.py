@@ -1,12 +1,94 @@
 #!/usr/bin/env python3
-"""Semantic static analysis for fscache (docs/STATIC_ANALYSIS.md).
+"""Static analysis for fscache (docs/STATIC_ANALYSIS.md).
 
-Where tools/fscache_lint.py pattern-matches source text, this tool
-understands declarations, types and call graphs, and enforces the
-contracts Futility Scaling's reproduction depends on:
+One tool, one parser: every rule below runs over the same model,
+built from src/, tools/ and bench/ by the dependency-free C++
+tokenizer/scope parser shipped in this file. All of them guard one
+property: simulation output must be a pure function of configuration
+and seeds (the SweepRunner contract: FS_JOBS=k output bit-identical
+to FS_JOBS=1, and any two runs of the same binary identical).
 
-Passes
-------
+Text rules
+----------
+Scoped by path, over each file's comment- and literal-stripped lines.
+
+raw-random
+    src/sim, src/partition, src/ranking, src/cache must not construct
+    their own randomness (std::rand, srand, random_device, mt19937,
+    drand48, ...). All randomness flows through src/common's seeded
+    fscache::Rng so a cell's streams are derived from its seed.
+
+wall-clock
+    Same scope: no reads of real time (time(), clock_gettime,
+    std::chrono::*_clock::now, gettimeofday). Wall-clock values leak
+    nondeterminism into results and break run-to-run identity.
+    (Benchmark timing lives in bench/, outside the scope.)
+
+unordered-aggregation
+    src/stats and src/sim are result-aggregation paths: tables, JSON
+    and metrics built there must not depend on hash-container
+    iteration order, so unordered_map/unordered_set are banned there
+    outright (use std::map, sorted vectors, or index-keyed vectors).
+    The determinism pass below catches the same containers behind an
+    alias or `auto`; this rule catches the direct spelling.
+
+float-accum
+    Accumulating into a float/double in src/stats without a named
+    policy hides a numerical-stability decision. Any `x += ...` or
+    its spelled-out form `x = x + ...` where x is float/double must
+    carry a policy annotation (see below), as must std::accumulate
+    folding into a float (floating init argument or float target).
+
+hot-path-container
+    src/cache, src/ranking and src/sim sit on the per-access hot
+    path: node-based hash containers (unordered_map/unordered_set)
+    cost a pointer chase plus an allocation per operation there, and
+    their iteration order is a latent determinism hazard. Use
+    common/flat_map.hh (open addressing, zero steady-state
+    allocation) or index-keyed vectors instead. In src/sim the
+    stricter unordered-aggregation rule takes precedence, so a line
+    fires exactly one of the two rules. Not subsumed by
+    no-alloc-on-hot-path: a lookup does not allocate, and a field no
+    hot root reaches is never visited.
+
+unchecked-sto
+    tools/ and bench/ must not call bare std::sto* (stoi, stoull,
+    stod, ...): those accept trailing junk ("12abc" parses as 12) and
+    throw ungreppable std::invalid_argument on garbage. Use the
+    checked parsers in common/arg_parser.hh (parseInt64Arg,
+    parseU64Arg, parseDoubleArg) which validate the full token and
+    exit with a diagnostic naming the flag and the offending value.
+
+swallowed-exception
+    src/ must not contain a `catch (...)` whose handler neither
+    rethrows (`throw;`) nor converts the error into a typed outcome.
+    A silently swallowed exception is how state corruption escapes
+    the self-checking layer (src/check). The two sanctioned
+    catch-all sites (the thread pool's exception trampoline and the
+    cell guard's outcome conversion) are allowlisted by path below.
+
+unchecked-net
+    src/ must not discard the return value of send/recv/connect/
+    accept at statement position: a TCP peer can vanish at any
+    instant, so an unchecked send silently loses a frame and an
+    unchecked recv throws away the only EOF/error signal the caller
+    gets. Assign and check the result (common/net.cc's writeAllFd
+    and FrameReader show the shape), or justify a deliberate
+    fire-and-forget with an allow().
+
+signal-handler-safety
+    A function installed as a signal handler (`.sa_handler = f`,
+    `.sa_sigaction = f` or `signal(SIG, f)` in the same file) may
+    only call async-signal-safe functions: heap allocation, stdio,
+    std::string, locks, exit() or throw inside the handler deadlocks
+    or corrupts state exactly when the crash report matters most.
+    The check is lexical over the handler's own body; keep handlers
+    self-contained, like src/check/breadcrumb.cc's sink()/sinkU64().
+
+Semantic passes
+---------------
+Over src/ only: declarations, types and call graphs.
+
 no-alloc-on-hot-path
     Walks the call graph from the hot roots
     (fscache::PartitionedCache::access / ::accessBatch, and
@@ -23,8 +105,7 @@ no-alloc-on-hot-path
     allocation-free.
 
 determinism
-    Type-aware complement to the lint's unordered-aggregation rule:
-    resolves `using`/`typedef` aliases and declared field/local
+    Resolves `using`/`typedef` aliases and declared field/local
     types, so a hash container smuggled into a result-aggregation
     scope (src/stats, src/sim) behind an alias or iterated through
     `auto` is still caught. Rules: unordered-type (declaration whose
@@ -53,33 +134,24 @@ layering
     (#include from a lower layer into a higher one) fails the pass;
     CMake link lines cannot catch these for header-only reach.
 
-Frontend
---------
-The passes run on a model built by a dependency-free C++
-tokenizer/scope parser shipped in this file. It has no overload
-resolution and keeps types as text, but understands declarations,
-scopes, call expressions and annotations — enough for every pass,
-and it runs anywhere python3 does.
-
-Suppressions and the baseline
------------------------------
+Suppressions and policies
+-------------------------
 A finding is suppressed by a directive on the same line or the
 contiguous comment block directly above it:
 
     // fs-analyze: allow(<rule>) <justification - required>
+    // fs-analyze: float-accum(<policy-name>) <optional notes>
 
-Pre-existing findings that are deliberate stay in
-tools/analyze_baseline.json (one fingerprint + reason per entry;
-regenerate with --update-baseline, then edit the reasons). Anything
-not suppressed and not baselined fails the run.
+An allow() with no justification is itself a `directive` finding:
+the point is a paper trail for the next reader. There is no
+baseline: a new finding is fixed or gets an allow() in place.
 
-Exit status: 0 clean, 1 unbaselined findings, 2 usage/internal error.
+Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -142,8 +214,8 @@ ALLOCATING_CONTAINER_RE = re.compile(
 UNORDERED_TYPE_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\b")
 
-# Result-aggregation scopes for the determinism pass (same contract
-# as the lint's unordered-aggregation rule).
+# Result-aggregation scopes: the determinism pass and the
+# unordered-aggregation text rule.
 AGGREGATION_SCOPE = ("src/stats", "src/sim")
 
 MUTEX_TYPE_RE = re.compile(
@@ -174,11 +246,102 @@ LAYERS = {
              "check", "analytic", "partition", "runner", "sim"},
 }
 
-ALL_PASSES = ("no-alloc-on-hot-path", "determinism",
-              "lock-discipline", "layering")
+# Trees the model is built from (the semantic passes read src/ only)
+# and the fixture tree the real scan skips: its snippets are
+# supposed to fail.
+SCAN_DIRS = ("src", "tools", "bench")
+FIXTURE_DIR = "tools/analyze_fixtures"
 
 DIRECTIVE_RE = re.compile(
-    r"//\s*fs-analyze:\s*allow\(([\w-]+)\)\s*(.*)")
+    r"//\s*fs-analyze:\s*(allow|float-accum)\(([\w-]+)\)\s*(.*)")
+
+# -- text rules: patterns and path scopes ---------------------------
+
+RAW_RANDOM_PATTERNS = [
+    (re.compile(r"\bstd::rand\b|(?<![\w:])s?rand\s*\("), "std::rand/srand"),
+    (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bmt19937(?:_64)?\b"), "std::mt19937"),
+    (re.compile(r"\bdefault_random_engine\b"), "std::default_random_engine"),
+    (re.compile(r"\b[dlm]rand48\b|\brandom\s*\(\s*\)"), "libc rand48/random"),
+]
+
+WALL_CLOCK_PATTERNS = [
+    (re.compile(r"\bstd::time\b|(?<![\w:_.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
+     "time()"),
+    (re.compile(r"\b(?:system|steady|high_resolution)_clock\b"),
+     "std::chrono clock"),
+    (re.compile(r"\bgettimeofday\b|\bclock_gettime\b|\btimespec_get\b"),
+     "POSIX clock read"),
+    (re.compile(r"(?<![\w:_.])clock\s*\(\s*\)"), "clock()"),
+]
+
+UNCHECKED_STO_RE = re.compile(r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\b")
+
+# A socket call in statement position (line begins with the call)
+# discards its result. `(void)send(...)` and `n = recv(...)` don't
+# match: the former is an explicit discard, the latter is checked.
+UNCHECKED_NET_RE = re.compile(
+    r"^\s*(?:::\s*)?(send|recv|connect|accept4?)\s*\(")
+
+CATCH_ALL_RE = re.compile(r"\bcatch\s*\(\s*\.\.\.\s*\)")
+THROW_RE = re.compile(r"\bthrow\b")
+
+# Signal-handler installation sites. The captured name is the
+# handler; SIG_DFL/SIG_IGN and other SIG_* constants are skipped.
+HANDLER_ASSIGN_RE = re.compile(
+    r"\.sa_(?:handler|sigaction)\s*=\s*(?:&\s*)?([A-Za-z_]\w*)")
+HANDLER_SIGNAL_RE = re.compile(
+    r"\b(?:std::)?signal\s*\([^,()]+,\s*(?:&\s*)?([A-Za-z_]\w*)\s*\)")
+
+# Not async-signal-safe (POSIX 2.4.3). write()/sigaction()/raise()
+# and friends stay legal; these are the common hazards.
+UNSAFE_IN_HANDLER = [
+    (re.compile(r"\b(?:malloc|calloc|realloc|free|strdup)\s*\("),
+     "heap allocation"),
+    (re.compile(r"(?<![\w:.])(?:new|delete)\b"), "new/delete"),
+    (re.compile(r"\b(?:v?f?printf|s(?:n)?printf|vsnprintf|puts|"
+                r"fputs|fputc|putchar|fwrite|fread|fflush|fopen|"
+                r"fclose|perror)\s*\("), "stdio"),
+    (re.compile(r"\bstd::c(?:out|err|log)\b"), "iostream"),
+    (re.compile(r"\bstd::(?:string|vector|ostringstream)\b"),
+     "allocating container"),
+    (re.compile(r"\b(?:lock_guard|unique_lock|scoped_lock|mutex)\b"
+                r"|\.lock\s*\("), "lock"),
+    (re.compile(r"(?<![\w_])exit\s*\("), "exit() (use _exit/_Exit)"),
+    (re.compile(r"\bthrow\b"), "throw"),
+]
+
+# `double name` / `float &name` followed by something that is not an
+# opening paren (which would make `name` a function). Heuristic: does
+# not see through typedefs or containers-of-double; the goal is the
+# common accumulator shapes (members, locals, params).
+FLOAT_DECL_RE = re.compile(
+    r"\b(?:double|float)\s+[&*]?\s*([A-Za-z_]\w*)\s*[;=,){\[]")
+COMPOUND_ADD_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*(?:\+|-)=(?!=)")
+# The spelled-out form of the same accumulation: `x = x + ...`.
+SELF_ASSIGN_ADD_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?<![=!<>])=(?![=])\s*\1\s*[+\-]")
+# std::accumulate folds with operator+ one element at a time: flagged
+# when the init argument is a floating literal or the result lands
+# in a declared float/double.
+ACCUMULATE_CALL_RE = re.compile(r"\bstd::accumulate\s*\(")
+ACCUMULATE_TARGET_RE = re.compile(
+    r"\s*(?:double\b|float\b)?\s*([A-Za-z_]\w*)\s*=")
+FLOAT_LITERAL_RE = re.compile(r"\b\d+\.\d*(?:[eE][+-]?\d+)?[fF]?")
+
+# The sanctioned catch-all sites: the pool forwards the captured
+# exception_ptr to the submitter, and the guard converts the error
+# into a typed CellOutcome. Both "produce a typed outcome".
+SWALLOW_ALLOWLIST = frozenset({
+    "src/runner/thread_pool.cc",
+    "src/runner/cell_guard.hh",
+})
+
+RANDOM_SCOPE = ("src/sim", "src/partition", "src/ranking", "src/cache")
+HOT_PATH_SCOPE = ("src/cache", "src/ranking", "src/sim")
+ACCUM_SCOPE = ("src/stats",)
+STO_SCOPE = ("tools", "bench")
 
 CPP_KEYWORDS = frozenset({
     "if", "for", "while", "switch", "return", "do", "else", "case",
@@ -274,9 +437,11 @@ class FunctionInfo:
 @dataclass
 class FileInfo:
     path: str                 # repo-relative, posix
+    code: list = field(default_factory=list)      # (line, stripped)
     includes: list = field(default_factory=list)  # (header, line)
     aliases: dict = field(default_factory=dict)   # name -> target
-    directives: dict = field(default_factory=dict)  # line -> (rule, why)
+    # line -> (kind, rule-or-policy, why); kind: allow / float-accum
+    directives: dict = field(default_factory=dict)
     comment_only: set = field(default_factory=set)
     audit_lines: set = field(default_factory=set)  # FSCACHE_AUDIT(...)
 
@@ -290,7 +455,6 @@ class Model:
         self.class_by_name = {}    # simple name -> [qnames]
         self.derived = {}          # class qname -> set(derived qnames)
         self.aliases = {}          # simple alias name -> target type
-        self.frontend = "?"
 
     def add_function(self, fn: FunctionInfo):
         self.functions.setdefault(fn.qname, []).append(fn)
@@ -341,25 +505,17 @@ class Finding:
     message: str
     chain: list = field(default_factory=list)
 
-    def fingerprint(self) -> str:
-        # Line numbers are deliberately excluded so routine edits
-        # don't churn the baseline; symbol+rule+file+message-core
-        # identify a finding.
-        core = re.sub(r"\d+", "#", self.message)
-        blob = "|".join((self.pass_name, self.rule, self.file,
-                         self.symbol, core))
-        return hashlib.sha1(blob.encode()).hexdigest()[:16]
-
     def render(self) -> str:
-        s = (f"{self.file}:{self.line}: [{self.pass_name}/"
-             f"{self.rule}] {self.symbol}: {self.message}")
+        tag = self.rule if self.rule == self.pass_name else \
+            f"{self.pass_name}/{self.rule}"
+        s = f"{self.file}:{self.line}: [{tag}] {self.symbol}: " \
+            f"{self.message}"
         if self.chain:
             s += "\n    via " + " -> ".join(self.chain)
         return s
 
     def to_json(self) -> dict:
         return {
-            "fingerprint": self.fingerprint(),
             "pass": self.pass_name,
             "rule": self.rule,
             "file": self.file,
@@ -375,7 +531,7 @@ class AnalyzerError(Exception):
 
 
 # ------------------------------------------------------------------
-# Builtin frontend: comment stripping + tokenizer
+# Frontend: comment stripping + tokenizer
 # ------------------------------------------------------------------
 
 TOKEN_RE = re.compile(r"""
@@ -463,22 +619,22 @@ def norm_expr(tokens) -> str:
 
 
 # ------------------------------------------------------------------
-# Builtin frontend: parser
+# Frontend: parser
 # ------------------------------------------------------------------
 
-class BuiltinFrontend:
+class Frontend:
     """Token/scope-level C++ parser producing the Model.
 
-    Not a full parser: it tracks namespaces, class bodies, function
-    definitions, member declarations, aliases, call expressions and
-    lock scopes, which is what the passes consume. Heuristics are
-    documented inline; the fixture self-test pins the behavior."""
+    Every file under SCAN_DIRS gets its stripped lines and directives
+    recorded (the text rules read those); files under src/ are also
+    parsed. Not a full parser: it tracks namespaces, class bodies,
+    function definitions, member declarations, aliases, call
+    expressions and lock scopes, which is what the passes consume.
+    Heuristics are documented inline; the fixture self-test pins the
+    behavior."""
 
-    name = "builtin"
-
-    def __init__(self, root: Path, subdirs=("src",)):
+    def __init__(self, root: Path):
         self.root = root
-        self.subdirs = subdirs
         # Body scans deferred until every declaration is recorded:
         # fields commonly follow the methods that use them, and
         # out-of-line .cc definitions need the header's class.
@@ -486,14 +642,15 @@ class BuiltinFrontend:
 
     def build(self) -> Model:
         model = Model()
-        model.frontend = self.name
+        fixtures = self.root / FIXTURE_DIR
         files = []
-        for sub in self.subdirs:
+        for sub in SCAN_DIRS:
             d = self.root / sub
             if d.is_dir():
                 files.extend(p for p in sorted(d.rglob("*"))
                              if p.suffix in (".hh", ".cc", ".hpp",
-                                             ".cpp", ".h"))
+                                             ".cpp", ".h")
+                             and fixtures not in p.parents)
         # Headers first so classes are known when .cc bodies are
         # scanned (field-use and receiver-type resolution).
         files.sort(key=lambda p: (p.suffix not in (".hh", ".hpp",
@@ -514,22 +671,26 @@ class BuiltinFrontend:
         rel = path.relative_to(self.root).as_posix()
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            return
-        fi = FileInfo(path=rel)
+        except (OSError, UnicodeDecodeError) as e:
+            raise AnalyzerError(f"unreadable {rel}: {e}") from e
+        fi = FileInfo(path=rel, code=list(stripped_lines(text)))
         raw_lines = text.splitlines()
         for no, raw in enumerate(raw_lines, 1):
             m = DIRECTIVE_RE.search(raw)
             if m:
-                fi.directives[no] = (m.group(1), m.group(2).strip())
+                fi.directives[no] = (m.group(1), m.group(2),
+                                     m.group(3).strip())
             if raw.lstrip().startswith("//"):
                 fi.comment_only.add(no)
+        model.files[rel] = fi
+        if not in_scope(rel, ("src",)):
+            return                  # text rules only
 
         # Lines inside FSCACHE_AUDIT(...) arguments are runtime
         # audit-gated (src/check/audit.hh): cold by construction.
         # Track balanced parens from each macro head.
         audit_depth = 0
-        for no, line in stripped_lines(text):
+        for no, line in fi.code:
             col = 0
             if audit_depth == 0:
                 m = re.search(r"\bFSCACHE_AUDIT\s*\(", line)
@@ -552,7 +713,7 @@ class BuiltinFrontend:
         # macro continuation lines) before tokenizing.
         code = []
         skip_continuation = False
-        for no, line in stripped_lines(text):
+        for no, line in fi.code:
             ls = line.lstrip()
             if skip_continuation:
                 skip_continuation = line.rstrip().endswith("\\")
@@ -569,7 +730,6 @@ class BuiltinFrontend:
                 code.append((no, ""))
                 continue
             code.append((no, line))
-        model.files[rel] = fi
         toks = tokenize(code)
         self._parse_scope(model, fi, toks, 0, len(toks), [], rel)
 
@@ -1307,7 +1467,8 @@ def directive_for(fi: FileInfo, lineno: int):
 
 
 def suppressed(model: Model, finding: Finding, findings: list) -> bool:
-    """True when an allow(<rule>) directive governs the line. An
+    """True when an allow(<rule>) directive governs the line, or a
+    float-accum(<policy>) one governs a float-accum finding. An
     allow() with no justification is itself reported."""
     fi = model.files.get(finding.file)
     if fi is None:
@@ -1315,7 +1476,9 @@ def suppressed(model: Model, finding: Finding, findings: list) -> bool:
     d = directive_for(fi, finding.line)
     if d is None:
         return False
-    rule, why = d
+    kind, rule, why = d
+    if kind == "float-accum":
+        return finding.rule == "float-accum"
     if rule != finding.rule and rule != finding.pass_name:
         return False
     if not why:
@@ -1324,7 +1487,6 @@ def suppressed(model: Model, finding: Finding, findings: list) -> bool:
             file=finding.file, line=finding.line,
             symbol=finding.symbol,
             message="allow() directive needs a justification"))
-        return True
     return True
 
 
@@ -1776,214 +1938,322 @@ def pass_layering(model: Model, findings: list):
 
 
 # ------------------------------------------------------------------
+# Pass 5: text rules
+# ------------------------------------------------------------------
+
+def block_at(text: str, brace: int) -> str:
+    """text[brace] == '{'; the brace-balanced block it opens."""
+    depth = 0
+    for i in range(brace, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[brace:i + 1]
+    return text[brace:]
+
+
+def swallowed_catch_lines(joined: str):
+    """Lines of `catch (...)` handlers whose block never mentions
+    `throw`: it neither rethrows nor constructs a typed error, so the
+    exception dies there."""
+    for m in CATCH_ALL_RE.finditer(joined):
+        brace = joined.find("{", m.end())
+        if brace >= 0 and not THROW_RE.search(block_at(joined, brace)):
+            yield joined.count("\n", 0, m.start()) + 1
+
+
+def handler_unsafe_lines(joined: str):
+    """(line, handler, hazard) for each non-async-signal-safe call in
+    the body of a function this file installs as a signal handler.
+    Helpers the handler calls are not followed."""
+    handlers = set()
+    for pat in (HANDLER_ASSIGN_RE, HANDLER_SIGNAL_RE):
+        for m in pat.finditer(joined):
+            name = m.group(1)
+            if not name.startswith("SIG_") and name != "nullptr":
+                handlers.add(name)
+    for name in sorted(handlers):
+        defn = re.compile(
+            r"\b" + re.escape(name) + r"\s*\([^;{}()]*\)\s*\{")
+        for m in defn.finditer(joined):
+            brace = m.end() - 1
+            start = joined.count("\n", 0, brace) + 1
+            body = block_at(joined, brace)
+            for off, line in enumerate(body.split("\n")):
+                for upat, what in UNSAFE_IN_HANDLER:
+                    if upat.search(line):
+                        yield start + off, name, what
+
+
+def float_names(model: Model, fi: FileInfo) -> set:
+    """Names declared float/double in a file and, for a .cc, its
+    sibling .hh."""
+    sibling = model.files.get(fi.path[:-3] + ".hh") \
+        if fi.path.endswith(".cc") else None
+    names = set()
+    for f in (fi, sibling):
+        for _, code in (f.code if f is not None else ()):
+            names.update(m.group(1) for m in FLOAT_DECL_RE.finditer(code))
+    return names
+
+
+def pass_text_rules(model: Model, findings: list):
+    for fi in model.files.values():
+        rel = fi.path
+
+        def report(no, rule, symbol, msg):
+            f = Finding(pass_name=rule, rule=rule, file=rel, line=no,
+                        symbol=symbol, message=msg)
+            if not suppressed(model, f, findings):
+                findings.append(f)
+
+        joined = "\n".join(code for _, code in fi.code)
+        in_src = in_scope(rel, ("src",))
+        if in_src:
+            for no, name, what in handler_unsafe_lines(joined):
+                report(no, "signal-handler-safety", name,
+                       f"{what} inside a signal handler is not "
+                       "async-signal-safe (a signal can arrive "
+                       "mid-malloc/mid-lock); use write(2) and "
+                       "preformatted buffers like "
+                       "src/check/breadcrumb.cc, or _exit")
+            if rel not in SWALLOW_ALLOWLIST:
+                for no in swallowed_catch_lines(joined):
+                    report(no, "swallowed-exception", "catch (...)",
+                           "catch (...) that neither rethrows nor "
+                           "produces a typed outcome swallows errors "
+                           "(including StateCorruptionError); "
+                           "rethrow, convert to a typed error, or "
+                           "justify with an allow()")
+
+        scoped_random = in_scope(rel, RANDOM_SCOPE)
+        scoped_agg = in_scope(rel, AGGREGATION_SCOPE)
+        scoped_hot = in_scope(rel, HOT_PATH_SCOPE)
+        scoped_sto = in_scope(rel, STO_SCOPE)
+        scoped_accum = in_scope(rel, ACCUM_SCOPE)
+        accum_names = float_names(model, fi) if scoped_accum else set()
+        policy = ("without a named policy; annotate with "
+                  "// fs-analyze: float-accum(<policy>)")
+
+        for no, code in fi.code:
+            if code.lstrip().startswith("#"):
+                continue  # includes/defines aren't uses
+            if scoped_random:
+                for pat, what in RAW_RANDOM_PATTERNS:
+                    if pat.search(code):
+                        report(no, "raw-random", what,
+                               "randomness outside src/common's "
+                               "seeded Rng breaks reproducibility")
+                for pat, what in WALL_CLOCK_PATTERNS:
+                    if pat.search(code):
+                        report(no, "wall-clock", what,
+                               "wall-clock read in simulation code "
+                               "breaks run-to-run determinism")
+            m = UNCHECKED_NET_RE.match(code) if in_src else None
+            if m:
+                report(no, "unchecked-net", m.group(1),
+                       "socket call in statement position discards "
+                       "its result; a vanished peer is only visible "
+                       "there. Check it (see common/net.cc) or "
+                       "justify fire-and-forget with an allow()")
+            m = UNCHECKED_STO_RE.search(code) if scoped_sto else None
+            if m:
+                report(no, "unchecked-sto", m.group(),
+                       "bare std::sto* accepts trailing junk and "
+                       "throws on garbage; use the checked parsers in "
+                       "common/arg_parser.hh (parseInt64Arg, "
+                       "parseU64Arg, parseDoubleArg)")
+            m = UNORDERED_TYPE_RE.search(code)
+            if m and scoped_agg:
+                report(no, "unordered-aggregation", m.group(),
+                       "hash container in a result-aggregation path; "
+                       "iteration order is unspecified. Use std::map, "
+                       "a sorted vector, or an index-keyed vector")
+            elif m and scoped_hot:
+                report(no, "hot-path-container", m.group(),
+                       "node-based hash container on the per-access "
+                       "hot path; use common/flat_map.hh or an "
+                       "index-keyed vector (pointer chase + "
+                       "allocation per op)")
+            if not scoped_accum:
+                continue
+            for m in COMPOUND_ADD_RE.finditer(code):
+                if m.group(1) in accum_names:
+                    report(no, "float-accum", m.group(1),
+                           f"accumulation into float/double {policy}")
+            for m in SELF_ASSIGN_ADD_RE.finditer(code):
+                if m.group(1) in accum_names:
+                    report(no, "float-accum", m.group(1),
+                           f"accumulation into float/double (spelled "
+                           f"x = x + ...) {policy}")
+            m = ACCUMULATE_CALL_RE.search(code)
+            if m:
+                target = ACCUMULATE_TARGET_RE.match(code)
+                if FLOAT_LITERAL_RE.search(code[m.end():]) or \
+                        (target and target.group(1) in accum_names):
+                    report(no, "float-accum", "std::accumulate",
+                           "std::accumulate into float/double folds "
+                           "with operator+ element by element "
+                           f"{policy}, or use a compensated sum")
+
+
+# ------------------------------------------------------------------
 # Driver
 # ------------------------------------------------------------------
 
-PASS_FNS = {
-    "no-alloc-on-hot-path": pass_no_alloc,
-    "determinism": pass_determinism,
-    "lock-discipline": pass_lock_discipline,
-    "layering": pass_layering,
-}
+PASSES = (pass_no_alloc, pass_determinism, pass_lock_discipline,
+          pass_layering, pass_text_rules)
 
 
-def build_model(root: Path, subdirs=("src",)) -> Model:
-    return BuiltinFrontend(root, subdirs).build()
+def build_model(root: Path) -> Model:
+    return Frontend(root).build()
 
 
-def run_passes(model: Model, passes) -> list:
+def run_passes(model: Model) -> list:
     findings = []
-    for name in passes:
-        PASS_FNS[name](model, findings)
+    for run in PASSES:
+        run(model, findings)
     findings.sort(key=lambda f: (f.file, f.line, f.rule, f.symbol))
     return findings
-
-
-def load_baseline(path: Path):
-    if not path.is_file():
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise AnalyzerError(f"unreadable baseline {path}: {e}") from e
-    out = {}
-    for entry in data.get("findings", []):
-        out[entry["fingerprint"]] = entry
-    return out
-
-
-def write_baseline(path: Path, findings):
-    entries = []
-    for f in findings:
-        entries.append({
-            "fingerprint": f.fingerprint(),
-            "pass": f.pass_name,
-            "rule": f.rule,
-            "file": f.file,
-            "symbol": f.symbol,
-            "reason": "TODO: triage — justify or fix",
-        })
-    path.write_text(json.dumps({"findings": entries}, indent=2)
-                    + "\n", encoding="utf-8")
 
 
 # ------------------------------------------------------------------
 # Fixture self-test
 # ------------------------------------------------------------------
 
+# Every finding the fixture tree must produce, as (file, line, rule,
+# symbol). A rule that stops firing on its fixture, or a negative
+# fixture (FS_COLD helper, allow()'d or policy-annotated site, decoy
+# class) that starts firing, means the analyzer has rotted.
+SELF_TEST_EXPECTED = {
+    # no-alloc-on-hot-path: every allocation reachable from the
+    # fixture's access(): new, vector growth, one through a virtual-
+    # dispatch over-approximation, and one behind an `if (...)`
+    # one-liner (the decoy ColdBatch::reserve must NOT appear).
+    ("src/sim/hot_alloc.cc", 47, "hot-path-alloc",
+     "fscache::HelperRanking::onHit"),
+    ("src/sim/hot_alloc.cc", 60, "hot-path-alloc",
+     "fscache::LfuishRanking::onHit"),
+    ("src/sim/hot_alloc.cc", 103, "hot-path-alloc",
+     "fscache::PartitionedCache::refill"),
+    ("src/sim/hot_alloc.cc", 131, "hot-path-alloc",
+     "fscache::PartitionedCache::accessMiss"),
+    # determinism: alias-hidden local, auto range-for, member. The
+    # alias line itself is the text rule's (direct spelling).
+    ("src/sim/bad_unordered.cc", 26, "unordered-aggregation",
+     "unordered_map"),
+    ("src/sim/bad_unordered.cc", 32, "unordered-type",
+     "fscache::Aggregator::report::scratch"),
+    ("src/sim/bad_unordered.cc", 36, "unordered-iteration",
+     "fscache::Aggregator::report"),
+    ("src/sim/bad_unordered.cc", 45, "unordered-type",
+     "fscache::Aggregator::byTenant_"),
+    # lock-discipline: unguarded access, unannotated field, and an
+    # exemption with no justification.
+    ("src/runner/bad_lock.cc", 40, "lock-unguarded-access",
+     "fscache::Pool::bump"),
+    ("src/runner/bad_lock.cc", 65, "lock-unannotated",
+     "fscache::Pool::unannotated_"),
+    ("src/runner/bad_lock.cc", 70, "directive",
+     "fscache::Pool::emptyWhy_"),
+    # layering: stats including runner and sim.
+    ("src/stats/bad_layering.cc", 12, "layering-back-edge",
+     "runner/thread_pool.hh"),
+    ("src/stats/bad_layering.cc", 13, "layering-back-edge",
+     "sim/partitioned_cache.hh"),
+    # text rules, one fixture file each.
+    ("src/cache/bad_container.cc", 12, "hot-path-container",
+     "unordered_map"),
+    ("src/cache/bad_container.cc", 13, "hot-path-container",
+     "unordered_set"),
+    ("src/cache/bad_container.cc", 18, "hot-path-container",
+     "unordered_map"),
+    ("src/check/bad_handler.cc", 11, "signal-handler-safety",
+     "badHandler"),
+    ("src/check/bad_handler.cc", 12, "signal-handler-safety",
+     "badHandler"),
+    ("src/check/bad_handler.cc", 13, "signal-handler-safety",
+     "badHandler"),
+    ("src/check/bad_handler.cc", 14, "signal-handler-safety",
+     "badHandler"),
+    ("src/common/bad_net.cc", 9, "unchecked-net", "send"),
+    ("src/common/bad_net.cc", 10, "unchecked-net", "recv"),
+    ("src/common/bad_net.cc", 11, "unchecked-net", "connect"),
+    ("src/common/bad_net.cc", 12, "unchecked-net", "accept"),
+    ("src/ranking/bad_random.cc", 8, "raw-random", "std::rand/srand"),
+    ("src/ranking/bad_random.cc", 12, "raw-random",
+     "std::random_device"),
+    ("src/ranking/bad_random.cc", 15, "raw-random", "std::mt19937"),
+    ("src/runner/bad_catch.cc", 11, "swallowed-exception",
+     "catch (...)"),
+    ("src/sim/bad_clock.cc", 9, "wall-clock", "time()"),
+    ("src/sim/bad_clock.cc", 12, "wall-clock", "std::chrono clock"),
+    ("src/sim/bad_clock.cc", 18, "wall-clock", "time()"),
+    ("src/sim/bad_clock.cc", 25, "directive", "time()"),
+    ("src/stats/bad_accum.cc", 15, "float-accum", "sum_"),
+    ("src/stats/bad_accum.cc", 23, "unordered-aggregation",
+     "unordered_map"),
+    ("src/stats/bad_accum.cc", 32, "float-accum", "acc"),
+    ("src/stats/bad_accum.cc", 38, "float-accum", "acc"),
+    ("src/stats/bad_accum.cc", 44, "float-accum", "std::accumulate"),
+    ("tools/bad_sto.cc", 9, "unchecked-sto", "std::stoi"),
+    ("tools/bad_sto.cc", 10, "unchecked-sto", "std::stod"),
+}
+
+
 def self_test(repo_root: Path) -> int:
-    fixture_root = repo_root / "tools" / "analyze_fixtures"
+    fixture_root = repo_root / FIXTURE_DIR
     if not fixture_root.is_dir():
         print(f"self-test: fixture dir missing: {fixture_root}",
               file=sys.stderr)
         return 2
-    model = build_model(fixture_root)
-    findings = run_passes(model, ALL_PASSES)
-    got = {(f.file, f.rule, f.symbol) for f in findings}
-    expected = {
-        # no-alloc-on-hot-path: every allocation reachable from the
-        # fixture's access() — new, make_unique, vector growth, and
-        # one through a virtual-dispatch over-approximation. The
-        # FS_COLD diagnostic helper and the allow()'d site must stay
-        # quiet.
-        ("src/sim/hot_alloc.cc", "hot-path-alloc",
-         "fscache::PartitionedCache::accessMiss"),
-        ("src/sim/hot_alloc.cc", "hot-path-alloc",
-         "fscache::HelperRanking::onHit"),
-        ("src/sim/hot_alloc.cc", "hot-path-alloc",
-         "fscache::LfuishRanking::onHit"),
-        # Receiver resolution through an `if (...)` one-liner; the
-        # decoy ColdBatch::reserve must NOT appear (a garbage
-        # receiver would name-match onto it).
-        ("src/sim/hot_alloc.cc", "hot-path-alloc",
-         "fscache::PartitionedCache::refill"),
-        # determinism: alias-hidden member, auto range-for, local.
-        ("src/sim/bad_unordered.cc", "unordered-type",
-         "fscache::Aggregator::byTenant_"),
-        ("src/sim/bad_unordered.cc", "unordered-iteration",
-         "fscache::Aggregator::report"),
-        ("src/sim/bad_unordered.cc", "unordered-type",
-         "fscache::Aggregator::report::scratch"),
-        # lock-discipline: unannotated shared field + unguarded
-        # access to an annotated one.
-        ("src/runner/bad_lock.cc", "lock-unannotated",
-         "fscache::Pool::unannotated_"),
-        ("src/runner/bad_lock.cc", "lock-unguarded-access",
-         "fscache::Pool::bump"),
-        # layering: stats including sim and runner.
-        ("src/stats/bad_layering.cc", "layering-back-edge",
-         "sim/partitioned_cache.hh"),
-        ("src/stats/bad_layering.cc", "layering-back-edge",
-         "runner/thread_pool.hh"),
-    }
-    ok = True
-    for miss in sorted(expected - got):
+    got = {(f.file, f.line, f.rule, f.symbol)
+           for f in run_passes(build_model(fixture_root))}
+    for miss in sorted(SELF_TEST_EXPECTED - got):
         print(f"self-test: expected finding not produced: {miss}",
               file=sys.stderr)
-        ok = False
-    for extra in sorted(got - expected):
+    for extra in sorted(got - SELF_TEST_EXPECTED):
         print(f"self-test: unexpected finding: {extra}",
               file=sys.stderr)
-        ok = False
-    if not ok:
+    if got != SELF_TEST_EXPECTED:
         return 2
-    print(f"self-test: ok ({len(expected)} expected findings on "
-          f"the {model.frontend} frontend; negative fixtures and "
-          f"suppressed sites stayed quiet)")
+    print(f"self-test: ok ({len(got)} expected findings; negative "
+          f"fixtures and suppressed sites stayed quiet)")
     return 0
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        description="fscache semantic static analysis "
-                    "(see module docstring)")
-    ap.add_argument("--root", type=Path, default=None,
-                    help="repo root (default: this script's repo)")
-    ap.add_argument("--frontend", choices=("builtin",),
-                    default="builtin",
-                    help="the C++ parser behind the passes "
-                         "(builtin is the only one)")
-    ap.add_argument("--passes", default=",".join(ALL_PASSES),
-                    help="comma-separated subset of: "
-                         + ", ".join(ALL_PASSES))
-    ap.add_argument("--baseline", type=Path, default=None,
-                    help="baseline JSON (default: "
-                         "tools/analyze_baseline.json)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from current "
-                         "findings (then edit the reasons!)")
+        description="fscache static analysis (see module docstring)")
     ap.add_argument("--json", type=Path, default=None,
-                    help="write all findings (baselined included) "
-                         "as JSON")
+                    help="also write the findings as JSON")
     ap.add_argument("--self-test", action="store_true",
-                    help="run the analyzer against "
-                         "tools/analyze_fixtures and verify the "
-                         "expected findings fire")
+                    help=f"run the analyzer against {FIXTURE_DIR} "
+                         "and verify the expected findings fire")
     args = ap.parse_args(argv)
-
-    repo_root = (args.root or
-                 Path(__file__).resolve().parent.parent).resolve()
+    repo_root = Path(__file__).resolve().parent.parent
 
     try:
         if args.self_test:
             return self_test(repo_root)
-
-        passes = [p.strip() for p in args.passes.split(",")
-                  if p.strip()]
-        for p in passes:
-            if p not in PASS_FNS:
-                print(f"unknown pass: {p}", file=sys.stderr)
-                return 2
-
-        model = build_model(repo_root)
-        findings = run_passes(model, passes)
-
-        if args.json:
-            args.json.write_text(json.dumps(
-                {"frontend": model.frontend,
-                 "findings": [f.to_json() for f in findings]},
-                indent=2) + "\n", encoding="utf-8")
-
-        baseline_path = (args.baseline or
-                         repo_root / "tools" /
-                         "analyze_baseline.json")
-        if args.update_baseline:
-            write_baseline(baseline_path, findings)
-            print(f"baseline written: {baseline_path} "
-                  f"({len(findings)} findings) — edit the reasons")
-            return 0
-        baseline = load_baseline(baseline_path)
-
-        fresh = []
-        used = set()
-        for f in findings:
-            fp = f.fingerprint()
-            if fp in baseline:
-                used.add(fp)
-            else:
-                fresh.append(f)
-        for f in fresh:
-            print(f.render())
-        stale = set(baseline) - used
-        for fp in sorted(stale):
-            e = baseline[fp]
-            print(f"fscache_analyze: stale baseline entry "
-                  f"{fp} ({e.get('file')}: {e.get('symbol')}) — "
-                  f"the finding no longer fires; remove it",
-                  file=sys.stderr)
-        if fresh:
-            print(f"fscache_analyze: {len(fresh)} unbaselined "
-                  f"finding(s) on the {model.frontend} frontend "
-                  f"({len(findings) - len(fresh)} baselined)",
-                  file=sys.stderr)
-            return 1
-        print(f"fscache_analyze: clean "
-              f"({len(findings)} baselined finding(s), "
-              f"frontend={model.frontend})")
-        return 0
+        findings = run_passes(build_model(repo_root))
     except AnalyzerError as e:
         print(f"fscache_analyze: error: {e}", file=sys.stderr)
         return 2
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"findings": [f.to_json() for f in findings]},
+            indent=2) + "\n", encoding="utf-8")
+    for f in findings:
+        print(f.render())
+    if findings:
+        print(f"fscache_analyze: {len(findings)} finding(s)",
+              file=sys.stderr)
+        return 1
+    print("fscache_analyze: clean")
+    return 0
 
 
 if __name__ == "__main__":
