@@ -29,7 +29,9 @@ constexpr LineId kLines = 16384;
 
 struct Result
 {
-    double aefUnpart = 0.0;
+    /// -1 when the unpartitioned cache never evicted (the ideal
+    /// array at small FS_BENCH_SCALE), printed "n/a".
+    double aefUnpart = -1.0;
     double fsOccErr = 0.0;
     auto fields() { return std::tie(aefUnpart, fsOccErr); }
 };
@@ -68,7 +70,8 @@ run(const Config &c)
         src.push_back(makeBenchmarkTrace("mcf", threadBaseAddr(0),
                                          Rng(811)));
         driveByInsertionRate(*cache, src, {1.0}, accesses, warmup, 3);
-        res.aefUnpart = cache->assocDist(0).aef();
+        if (cache->assocDist(0).evictions() > 0)
+            res.aefUnpart = cache->assocDist(0).aef();
     }
 
     // Feedback-FS sizing with asymmetric targets.
@@ -117,15 +120,17 @@ main(int argc, char **argv)
         {"random (ideal)", ArrayKind::RandomCands, HashKind::H3},
     };
     auto report = bench::sweep("ablation_hashing",
-                               "seed=2;trace-seeds=811,812,813", configs,
-                               run);
+                               "seed=2;trace-seeds=811,812,813;aef-na",
+                               configs, run);
 
     TablePrinter table({"array/hash", "unpartitioned AEF",
                         "FS occupancy err (75% part)"});
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const CellOutcome<Result> &o = report.cells[i];
         table.addRow({configs[i].name,
-                      bench::num(o, &Result::aefUnpart, 3),
+                      o.ok() && o.value->aefUnpart < 0.0
+                          ? std::string("n/a")
+                          : bench::num(o, &Result::aefUnpart, 3),
                       bench::num(o, &Result::fsOccErr, 4)});
     }
     table.print(std::cout);

@@ -33,8 +33,9 @@ constexpr std::uint64_t kAuditStrideMask = 0x3ff; // every 1024
  * the address-index home slot of record i+K is prefetched. Large
  * enough to cover a DRAM load behind the per-record work (a hit is
  * ~a ranking reKey, tens of ns), small enough that the prefetched
- * line is still resident when its record arrives. Tuned on the
- * micro_sweep_throughput workloads; see docs/PERF.md.
+ * line is still resident when its record arrives. Tuned on a
+ * replay-only sweep probe since retired; perfbench's replay_sweep
+ * workload carries this path now (docs/PERF.md §6).
  */
 constexpr std::size_t kPrefetchDistance = 8;
 

@@ -5,20 +5,26 @@
  * reference bit for bit — same index, same count, same out bytes —
  * on randomized inputs covering ties, invalid-slot sentinels,
  * denormals, and lengths that are not a multiple of the vector
- * width. The byte-identity goldens depend on this equivalence.
+ * width. The byte-identity goldens depend on this equivalence. On
+ * top of the kernels, every partitioning scheme must pick the scalar
+ * backend's victim sequence on every backend.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cache/candidate.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "common/types.hh"
+#include "partition/scheme_factory.hh"
 
 namespace fscache
 {
@@ -212,6 +218,126 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(availableBackends()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
+    });
+
+constexpr std::uint32_t kVictimWays = 16;
+constexpr std::uint32_t kVictimParts = 8;
+
+/** Owner stub with fixed occupancies and rank futilities, so a
+ *  scheme's feedback state evolves identically on every backend. */
+class FixedOps : public PartitionOps
+{
+  public:
+    std::uint32_t actualSize(PartId part) const override
+    {
+        return 1000 + part * 10;
+    }
+    LineId cacheLines() const override { return 131072; }
+    void demote(LineId, PartId) override {}
+    double exactFutility(LineId line) const override
+    {
+        return (line % 97 + 1) / 97.0;
+    }
+};
+
+/**
+ * 256 R=16 candidate lists with a spread of futilities and
+ * partitions, then the same lists with futilities quantized to
+ * eighths, as coarse-timestamp rankings produce them: the uniform
+ * lists never tie, the quantized ones tie often, so the kernels'
+ * first-index tiebreak shows at the scheme level.
+ */
+std::vector<CandidateVec>
+victimInputs()
+{
+    Rng rng(7);
+    std::vector<CandidateVec> inputs(256);
+    for (CandidateVec &cands : inputs) {
+        cands.reserve(kVictimWays);
+        for (std::uint32_t i = 0; i < kVictimWays; ++i)
+            cands.push(i, static_cast<PartId>(rng.below(kVictimParts)),
+                       rng.uniform());
+    }
+    for (std::size_t k = 0; k < 256; ++k) {
+        CandidateVec quantized = inputs[k];
+        for (std::uint32_t i = 0; i < kVictimWays; ++i)
+            quantized.futility[i] =
+                (std::floor(quantized.futility[i] * 8.0) + 1.0) / 8.0;
+        inputs.push_back(std::move(quantized));
+    }
+    return inputs;
+}
+
+/**
+ * Victims a fresh `kind` scheme picks on `backend` over 16 rounds of
+ * the inputs, each call on a fresh copy of its list (Vantage demotes
+ * in place).
+ */
+std::vector<std::uint32_t>
+victimSequence(const std::string &backend, SchemeKind kind)
+{
+    EXPECT_TRUE(simd::setBackend(backend.c_str()));
+    FixedOps ops;
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    cfg.ways = kVictimWays;
+    auto scheme = makeScheme(cfg);
+    scheme->bind(&ops, kVictimParts);
+    for (PartId p = 0; p < kVictimParts; ++p)
+        scheme->setTarget(p, 1000);
+    const std::vector<CandidateVec> inputs = victimInputs();
+    std::vector<std::uint32_t> victims;
+    CandidateVec cands;
+    for (int round = 0; round < 16; ++round) {
+        for (const CandidateVec &in : inputs) {
+            cands = in;
+            victims.push_back(scheme->selectVictim(
+                cands, static_cast<PartId>(victims.size() %
+                                           kVictimParts)));
+        }
+    }
+    return victims;
+}
+
+class SchemeVictimBackends
+    : public ::testing::TestWithParam<std::tuple<std::string, SchemeKind>>
+{
+  protected:
+    void TearDown() override { simd::setBackend("scalar"); }
+};
+
+TEST_P(SchemeVictimBackends, PicksScalarVictimSequence)
+{
+    const auto &[backend, kind] = GetParam();
+    const std::vector<std::uint32_t> ref = victimSequence("scalar", kind);
+    const std::vector<std::uint32_t> got = victimSequence(backend, kind);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (got[i] != ref[i]) {
+            ADD_FAILURE() << backend << " " << schemeKindName(kind)
+                          << ": call " << i << " picked " << got[i]
+                          << ", scalar picked " << ref[i];
+            break;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, SchemeVictimBackends,
+    ::testing::Combine(
+        ::testing::ValuesIn(availableBackends()),
+        ::testing::Values(SchemeKind::None, SchemeKind::PF,
+                          SchemeKind::Fs, SchemeKind::FsAnalytic,
+                          SchemeKind::Vantage, SchemeKind::Prism,
+                          SchemeKind::WayPart)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::string, SchemeKind>> &info) {
+        std::string name = std::get<0>(info.param) + "_" +
+                           schemeKindName(std::get<1>(info.param));
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
     });
 
 TEST(SimdDispatch, UnknownBackendRejected)
