@@ -7,12 +7,14 @@
  *
  * Each touch appends its payload (a line id, a local address) at the
  * next stamp and vacates the old one, so stamp order IS recency
- * order. Callers keep one or more FenwickTrees (common/fenwick.hh)
- * of marks over the same stamps; a rank is then a prefix count and
- * the d-th most recent entry a selectKth(). When the axis fills,
- * compact() slides the live payloads down to stamps 0..live-1 in
- * order — relative recency, the only thing a rank reads, is kept
- * exactly — and the caller rebuilds its marks with one bulk build.
+ * order. Callers keep one or more two-level mark indexes
+ * (common/fenwick.hh: a mark bit per stamp, a Fenwick tree over the
+ * per-64-stamp counts) over the same stamps; a rank is then a prefix
+ * count and the d-th most recent entry a selectKth(). When the axis
+ * fills, compact() slides the live payloads down to stamps
+ * 0..live-1 in order — relative recency, the only thing a rank
+ * reads, is kept exactly — and the caller rewrites its mark words in
+ * one pass over the compacted axis, then recounts each word tree.
  *
  * The axis doubles at compaction only when more than half of it is
  * live, so every compaction is followed by at least capacity/2 fresh

@@ -1,5 +1,8 @@
 #include "ranking/recency_ranking_base.hh"
 
+#include <algorithm>
+
+#include "common/bits.hh"
 #include "common/log.hh"
 
 namespace fscache
@@ -44,14 +47,19 @@ RecencyRankingBase::renumber()
 {
     axis_.compact();
     fs_assert(!axis_.full(), "stamp axis cannot hold its lines");
+    // One pass over the compacted axis puts each line's bit in its
+    // partition's words; each partition's word tree is then rebuilt
+    // from its words alone.
+    for (FenwickTree &fen : fens_)
+        fen.clear();
     std::uint32_t live = axis_.end();
-    for (std::uint32_t pos = 0; pos < live; ++pos)
-        stampOf_[axis_.at(pos)] = pos;
-    for (std::size_t p = 0; p < fens_.size(); ++p) {
-        fens_[p].build(live, [&](std::uint32_t pos) {
-            return partOf_[axis_.at(pos)] == p;
-        });
+    for (std::uint32_t pos = 0; pos < live; ++pos) {
+        LineId id = axis_.at(pos);
+        stampOf_[id] = pos;
+        fens_[partOf_[id]].setBulk(pos);
     }
+    for (FenwickTree &fen : fens_)
+        fen.recount();
 }
 
 void
@@ -159,7 +167,7 @@ RecencyRankingBase::worstIn(PartId part) const
     // safe under that damage (audits, not crashes, report it).
     if (part >= fens_.size() || fens_[part].total() == 0)
         return kInvalidLine;
-    return axis_.at(fens_[part].selectKth(0));
+    return axis_.at(fens_[part].lowest());
 }
 
 std::uint32_t
@@ -235,23 +243,49 @@ RecencyRankingBase::auditInvariants() const
                          presentLines, live);
     }
 
-    // Per-partition Fenwick marks vs. the axis, position by
-    // position, plus the size counters (the corruption arm's
-    // target) against the Fenwick ground truth.
+    // Per-partition mark words vs. the axis, one word of stamps at a
+    // time; then each word tree's counts against its words, and the
+    // size counters (the corruption arm's target) against the
+    // totals.
+    for (std::size_t p = 0; p < fens_.size(); ++p) {
+        if (fens_[p].capacity() != axis_.capacity()) {
+            return strprintf("partition %zu fenwick spans %u stamps "
+                             "of %u", p, fens_[p].capacity(),
+                             axis_.capacity());
+        }
+    }
+    std::vector<std::uint64_t> want(fens_.size());
+    std::uint32_t words = fens_.empty() ? 0 : fens_[0].words();
+    for (std::uint32_t w = 0; w < words; ++w) {
+        std::fill(want.begin(), want.end(), 0);
+        for (std::uint32_t b = 0; b < 64 && 64 * w + b < axis_.end();
+             ++b) {
+            LineId id = axis_.at(64 * w + b);
+            if (id != kInvalidLine)
+                want[partOf_[id]] |= std::uint64_t{1} << b;
+        }
+        for (std::size_t p = 0; p < fens_.size(); ++p) {
+            if (fens_[p].word(w) != want[p]) {
+                return strprintf("partition %zu mark word %u is "
+                                 "%016llx (want %016llx)", p, w,
+                                 static_cast<unsigned long long>(
+                                     fens_[p].word(w)),
+                                 static_cast<unsigned long long>(
+                                     want[p]));
+            }
+        }
+    }
     for (std::size_t p = 0; p < fens_.size(); ++p) {
         const FenwickTree &fen = fens_[p];
-        std::uint32_t prev = 0;
-        for (std::uint32_t pos = 0; pos < axis_.end(); ++pos) {
-            std::uint32_t cur = fen.countBelow(pos + 1);
-            std::uint32_t markHere = cur - prev;
-            prev = cur;
-            LineId id = axis_.at(pos);
-            std::uint32_t want =
-                (id != kInvalidLine && partOf_[id] == p) ? 1 : 0;
-            if (markHere != want) {
-                return strprintf("partition %zu fenwick holds %u "
-                                 "marks at stamp %u (want %u)", p,
-                                 markHere, pos, want);
+        for (std::uint32_t w = 0; w < fen.words(); ++w) {
+            std::uint32_t hi = std::min(64 * w + 64, fen.capacity());
+            std::uint32_t counted =
+                fen.countBelow(hi) - fen.countBelow(64 * w);
+            if (counted != popcount64(fen.word(w))) {
+                return strprintf("partition %zu fenwick counts %u "
+                                 "marks in word %u (want %u)", p,
+                                 counted, w,
+                                 popcount64(fen.word(w)));
             }
         }
         if (fen.countBelow(fen.capacity()) != fen.total()) {

@@ -8,12 +8,15 @@
  * That monotonicity admits a cheaper order structure than the
  * general order-statistic index (ranking/keyed_ranking_base.hh):
  * lines are laid out on a RecencyIndex stamp axis
- * (common/recency_index.hh) and a per-partition Fenwick tree
- * (common/fenwick.hh) counts resident lines per stamp prefix. Exact
- * rank = partition size minus the count of older residents; the
- * least-recent line is the first marked stamp. Every operation is
- * O(log capacity) over contiguous arrays — no node allocation, no
- * pointer chasing, no rebalancing.
+ * (common/recency_index.hh) and each partition keeps a two-level
+ * mark index over it (common/fenwick.hh): one mark bit per stamp in
+ * 64-bit words, under a Fenwick tree of the per-word counts. Exact
+ * rank = partition size minus the count of older residents, a short
+ * word-tree prefix plus one popcount; the least-recent line is the
+ * lowest set bit of the partition's first non-empty word. A touch
+ * flips two bits and walks the word tree, log2(capacity / 64)
+ * levels over contiguous arrays — no node allocation, no pointer
+ * chasing, no rebalancing.
  *
  * Byte-identity with a keyed order: stamps are assigned in call
  * order, exactly the order of strictly increasing usefulness clocks,
@@ -79,12 +82,13 @@ class RecencyRankingBase : public FutilityRanking
     std::uint32_t stampNewest(LineId id);
 
     /**
-     * Compact the stamp axis (RecencyIndex::compact) and rebuild
-     * the stamp map and the partition Fenwicks from it. Runs once
-     * per ~capacity - num_lines stamp allocations, so its
-     * O(partitions x capacity) cost amortizes to O(1) per touch; it
-     * allocates nothing (the axis is sized to twice the line count,
-     * so it never grows).
+     * Compact the stamp axis (RecencyIndex::compact), then rebuild
+     * the stamp map and every partition's mark words in one pass
+     * over it, and each partition's word tree from its words. Runs
+     * once per ~capacity - num_lines stamp allocations, so its
+     * O(capacity + partitions x capacity / 64) cost amortizes to
+     * O(1) per touch; it allocates nothing (the axis is sized to
+     * twice the line count, so it never grows).
      */
     void renumber();
 
@@ -96,7 +100,8 @@ class RecencyRankingBase : public FutilityRanking
     RecencyIndex<LineId, kInvalidLine> axis_;
     /** Stamp of each present line; inverse of axis_ over them. */
     std::vector<std::uint32_t> stampOf_;
-    /** Per-partition mark-per-resident Fenwick over the stamp axis. */
+    /** Per-partition mark index over the stamp axis, one mark per
+     *  resident line. */
     std::vector<FenwickTree> fens_;
     /** Per-partition resident-line counts. Kept separate from the
      *  Fenwick totals so the corruption fault hook has an

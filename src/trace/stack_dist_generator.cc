@@ -102,7 +102,7 @@ StackDistGenerator::markAll()
 {
     if (onStack_.capacity() != stack_.capacity())
         onStack_.reset(stack_.capacity());
-    onStack_.build(stack_.end(), [](std::uint32_t) { return true; });
+    onStack_.fillBelow(stack_.end());
 }
 
 void
@@ -133,7 +133,7 @@ StackDistGenerator::next()
         local = static_cast<std::uint32_t>(nextNewAddr_++);
         push(local);
         if (onStack_.total() > cfg_.maxResident)
-            pop(onStack_.selectKth(0)); // forget the least recent
+            pop(onStack_.lowest()); // forget the least recent
     } else {
         // Depth d = 1 is the most recently used entry, i.e. the
         // (size - d)-th oldest mark. Moving it to the top leaves the

@@ -5,9 +5,12 @@
  * The generator maintains an exact LRU stack of previously touched
  * line addresses on a RecencyIndex stamp axis
  * (common/recency_index.hh): local addresses in touch order, plus
- * one Fenwick tree marking the stamps still on the stack, so
- * re-referencing depth d is one O(log n) select of the
- * (size - d)-th oldest mark. Each access either touches a brand-new
+ * one two-level mark index (common/fenwick.hh: a mark bit per stamp,
+ * a Fenwick tree over the per-64-stamp counts) of the stamps still on
+ * the stack. Re-referencing depth d selects the (size - d)-th oldest
+ * mark: a descent of the word tree, log2(capacity / 64) levels, then
+ * one in-word select. The prewarm and every compaction re-mark the
+ * stack with whole-word stores. Each access either touches a brand-new
  * address (probability pNew, modeling compulsory misses / footprint
  * growth) or re-references the address at a stack depth drawn from
  * a configurable distribution.
@@ -134,8 +137,9 @@ class StackDistGenerator : public TraceSource
     /** Take the entry at `stamp` off the stack. */
     void pop(std::uint32_t stamp);
 
-    /** Mark every stamp below stack_.end() (right after the prewarm
-     *  and after each compaction, the stack is exactly those). */
+    /** Mark every stamp below stack_.end(), whole words at a time
+     *  (right after the prewarm and after each compaction, the stack
+     *  is exactly those). */
     void markAll();
 
     StackDistConfig cfg_;

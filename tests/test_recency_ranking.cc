@@ -1,20 +1,23 @@
 /**
  * @file
- * Fenwick occupancy tree (common/fenwick.hh) and the Fenwick-backed
- * recency ranking base (ranking/recency_ranking_base.hh): the
- * primitive against a naive mark array, its bulk build against
- * sequential marks, the full rankings (exact LRU and Random) against
- * a naive recency-list reference through randomized op sequences
- * long enough to force many stamp-axis renumberings, and the
- * corruption fault hook's detectability contract.
+ * Two-level recency mark index (common/fenwick.hh), its word
+ * helpers (common/bits.hh) and the recency ranking base built on it
+ * (ranking/recency_ranking_base.hh): the primitives against naive
+ * references at single- and multi-word capacities, the bulk paths
+ * against sequential marks, the full rankings (exact LRU and
+ * Random) against a naive recency-list reference through randomized
+ * op sequences long enough to force many stamp-axis renumberings,
+ * and the corruption fault hook's detectability contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/fenwick.hh"
 #include "common/random.hh"
 #include "ranking/exact_lru_ranking.hh"
@@ -25,15 +28,65 @@ namespace fscache
 namespace
 {
 
-TEST(Fenwick, MatchesNaiveMarkArray)
+TEST(Bits, PopcountAndSelectMatchNaive)
 {
-    constexpr std::uint32_t kCap = 64;
-    FenwickTree fen(kCap);
-    FenwickTree bulk(kCap);
-    std::vector<std::uint8_t> naive(kCap, 0);
-    Rng rng(31);
-    for (int round = 0; round < 4000; ++round) {
-        std::uint32_t pos = rng.below(kCap);
+    Rng rng(17);
+    std::vector<std::uint64_t> words = {0, ~0ull, 1, 1ull << 63,
+                                        0x8000000000000001ull,
+                                        0x00ff00000000ff00ull};
+    for (int i = 0; i < 2000; ++i) {
+        // Sparse, dense and byte-clustered words.
+        std::uint64_t a = rng();
+        std::uint64_t b = rng();
+        words.push_back(a & b & rng());
+        words.push_back(a | b);
+        words.push_back(a & (0xffull << (8 * rng.below(8))));
+    }
+    for (std::uint64_t w : words) {
+        std::vector<unsigned> set;
+        for (unsigned bit = 0; bit < 64; ++bit) {
+            if ((w >> bit) & 1)
+                set.push_back(bit);
+        }
+        ASSERT_EQ(popcount64(w), set.size()) << std::hex << w;
+        for (unsigned k = 0; k < set.size(); ++k)
+            ASSERT_EQ(selectBit(w, k), set[k]) << std::hex << w << " " << k;
+    }
+}
+
+/**
+ * Drive the two-level index and a naive mark array through random
+ * marks and unmarks at one capacity, checking every query after
+ * every op. Marks land in a few words only — the first two, the
+ * middle one and the last — so the words between stay empty, and a
+ * third of them sit on the word boundaries 63, 64 and 127. Every
+ * 16th op also checks both bulk paths (clear/setBulk/recount and
+ * fillBelow) against the same marks made one by one.
+ */
+void
+checkFenwickAgainstNaive(std::uint32_t cap)
+{
+    FenwickTree fen(cap);
+    FenwickTree bulk(cap);
+    std::vector<std::uint8_t> naive(cap, 0);
+    std::uint32_t words = std::max<std::uint32_t>(1, cap / 64);
+    const std::uint32_t hotWords[] = {0, 1, words / 2, words - 1};
+    std::vector<std::uint32_t> edges;
+    for (std::uint32_t p : {0u, 1u, 62u, 63u, 64u, 65u, 127u, 128u,
+                            cap - 64, cap - 1}) {
+        if (p < cap)
+            edges.push_back(p);
+    }
+    Rng rng(31 + cap);
+    for (int round = 0; round < 3000; ++round) {
+        std::uint32_t pos;
+        if (rng.below(3) == 0) {
+            pos = edges[rng.below(edges.size())];
+        } else {
+            std::uint32_t w = hotWords[rng.below(4)];
+            pos = std::min(cap - 1, 64 * w + static_cast<std::uint32_t>(
+                                                 rng.below(64)));
+        }
         if (naive[pos]) {
             fen.unmark(pos);
             naive[pos] = 0;
@@ -43,52 +96,86 @@ TEST(Fenwick, MatchesNaiveMarkArray)
         }
 
         std::vector<std::uint32_t> marked;
-        for (std::uint32_t p = 0; p < kCap; ++p) {
+        for (std::uint32_t p = 0; p < cap; ++p) {
             if (naive[p])
                 marked.push_back(p);
         }
         ASSERT_EQ(fen.total(), marked.size());
-        std::uint32_t probe = rng.below(kCap + 1);
-        std::uint32_t want_below = 0;
-        for (std::uint32_t p = 0; p < probe; ++p)
-            want_below += naive[p];
-        ASSERT_EQ(fen.countBelow(probe), want_below) << probe;
+        // Every prefix, capacity() included: the running naive count
+        // against countBelow at each position.
+        std::uint32_t below = 0;
+        for (std::uint32_t p = 0; p <= cap; ++p) {
+            ASSERT_EQ(fen.countBelow(p), below) << "cap " << cap
+                                                << " pos " << p;
+            if (p < cap)
+                below += naive[p];
+        }
+        for (std::uint32_t k = 0; k < marked.size(); ++k)
+            ASSERT_EQ(fen.selectKth(k), marked[k]) << "cap " << cap
+                                                   << " k " << k;
         if (!marked.empty()) {
-            ASSERT_EQ(fen.selectKth(0), marked.front());
-            auto k = static_cast<std::uint32_t>(
-                rng.below(marked.size()));
-            ASSERT_EQ(fen.selectKth(k), marked[k]) << k;
+            ASSERT_EQ(fen.lowest(), marked.front()) << "cap " << cap;
         }
 
-        // A bulk build over a random prefix must equal marking the
-        // same positions one by one: every prefix count and select
-        // agrees.
-        std::uint32_t n = rng.below(kCap + 1);
-        bulk.build(n, [&](std::uint32_t p) { return naive[p] != 0; });
-        FenwickTree seq(kCap);
+        if (round % 16 != 0)
+            continue;
+        // The bulk paths over a random prefix must equal marking the
+        // same positions one by one: every word, prefix count and
+        // select agrees.
+        std::uint32_t n = rng.below(4) == 0
+                              ? cap
+                              : static_cast<std::uint32_t>(
+                                    rng.below(cap + 1));
+        FenwickTree seq(cap);
+        FenwickTree ones(cap);
+        bulk.clear();
         for (std::uint32_t p = 0; p < n; ++p) {
-            if (naive[p])
+            ones.mark(p);
+            if (naive[p]) {
                 seq.mark(p);
+                bulk.setBulk(p);
+            }
         }
-        ASSERT_EQ(bulk.total(), seq.total());
-        for (std::uint32_t p = 0; p <= kCap; ++p)
-            ASSERT_EQ(bulk.countBelow(p), seq.countBelow(p)) << p;
-        for (std::uint32_t k = 0; k < seq.total(); ++k)
-            ASSERT_EQ(bulk.selectKth(k), seq.selectKth(k)) << k;
+        bulk.recount();
+        FenwickTree filled(cap);
+        filled.mark(cap - 1); // stale contents the fill must drop
+        filled.fillBelow(n);
+        for (const auto &[got, want] :
+             {std::pair{&bulk, &seq}, std::pair{&filled, &ones}}) {
+            ASSERT_EQ(got->total(), want->total()) << "cap " << cap;
+            for (std::uint32_t w = 0; w < want->words(); ++w)
+                ASSERT_EQ(got->word(w), want->word(w)) << w;
+            for (std::uint32_t p = 0; p <= cap; ++p)
+                ASSERT_EQ(got->countBelow(p), want->countBelow(p)) << p;
+            for (std::uint32_t k = 0; k < want->total(); ++k)
+                ASSERT_EQ(got->selectKth(k), want->selectKth(k)) << k;
+        }
     }
 }
 
-TEST(Fenwick, EmptyBuildKeepsCapacity)
+/** 16 is a partial word, 64 exactly one word (no word tree to
+ *  descend), 128 the smallest tree, 4096 a 64-word tree. */
+TEST(Fenwick, MatchesNaiveMarkArray)
+{
+    for (std::uint32_t cap : {16u, 64u, 128u, 4096u})
+        checkFenwickAgainstNaive(cap);
+}
+
+TEST(Fenwick, EmptyBulkKeepsCapacity)
 {
     FenwickTree fen(16);
     fen.mark(3);
     fen.mark(9);
-    fen.build(0, [](std::uint32_t) { return true; });
+    fen.fillBelow(0);
     EXPECT_EQ(fen.total(), 0u);
     EXPECT_EQ(fen.capacity(), 16u);
     EXPECT_EQ(fen.countBelow(16), 0u);
     fen.mark(15);
     EXPECT_EQ(fen.selectKth(0), 15u);
+    fen.clear();
+    fen.recount();
+    EXPECT_EQ(fen.total(), 0u);
+    EXPECT_EQ(fen.countBelow(16), 0u);
 }
 
 /**
@@ -143,39 +230,33 @@ class NaiveRecency
 
     PartId partOf(LineId id) const { return part_.at(id); }
 
-    std::uint32_t
-    partLines(PartId part) const
+    /** Every query's answer, from two passes over the list. */
+    struct Answers
     {
-        std::uint32_t n = 0;
-        for (LineId id : order_)
-            n += part_.at(id) == part;
-        return n;
-    }
+        std::vector<std::uint32_t> partLines; ///< by partition
+        std::vector<LineId> worst;            ///< by partition
+        std::vector<double> futility;         ///< by list index
+    };
 
-    double
-    exactFutility(LineId id) const
+    Answers
+    answers(PartId parts) const
     {
-        PartId part = part_.at(id);
-        std::uint32_t size = 0;
-        std::uint32_t older = 0;
-        for (LineId other : order_) {
-            if (part_.at(other) != part)
-                continue;
-            ++size;
-            if (other == id)
-                older = size - 1;
+        Answers out{std::vector<std::uint32_t>(parts, 0),
+                    std::vector<LineId>(parts, kInvalidLine), {}};
+        for (LineId id : order_) {
+            PartId part = part_.at(id);
+            if (out.partLines[part]++ == 0)
+                out.worst[part] = id;
         }
-        return static_cast<double>(size - older) /
-               static_cast<double>(size);
-    }
-
-    LineId
-    worstIn(PartId part) const
-    {
-        for (LineId id : order_)
-            if (part_.at(id) == part)
-                return id;
-        return kInvalidLine;
+        std::vector<std::uint32_t> older(parts, 0);
+        for (LineId id : order_) {
+            PartId part = part_.at(id);
+            std::uint32_t size = out.partLines[part];
+            out.futility.push_back(
+                static_cast<double>(size - older[part]++) /
+                static_cast<double>(size));
+        }
+        return out;
     }
 
   private:
@@ -185,15 +266,16 @@ class NaiveRecency
 
 /**
  * Drive a RecencyRankingBase client and the naive reference through
- * the same randomized install/hit/evict/retag/relocate sequence,
- * comparing every query after every op. 6000 ops over 24 line slots
- * churn through the stamp axis (capacity 64) dozens of times, so
- * the renumbering path runs under every op mix.
+ * the same randomized install/hit/evict/retag/relocate sequence over
+ * `parts` partitions, comparing every query after every op. The ops
+ * churn through the stamp axis (twice the line count, rounded up to
+ * a power of two) many times over, so the renumbering path runs
+ * under every op mix.
  */
 void
-checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
+checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines,
+                  PartId parts, int ops)
 {
-    constexpr PartId kParts = 3;
     NaiveRecency naive;
     Rng rng(4242);
 
@@ -202,7 +284,7 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
         return naive.lineAt(i);
     };
 
-    for (int op = 0; op < 6000; ++op) {
+    for (int op = 0; op < ops; ++op) {
         std::uint32_t kind = rng.below(10);
         if (naive.lines() == 0 ||
             (kind < 3 && naive.lines() < num_lines)) {
@@ -210,7 +292,7 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
             do {
                 id = rng.below(num_lines);
             } while (naive.contains(id));
-            auto part = static_cast<PartId>(rng.below(kParts));
+            auto part = static_cast<PartId>(rng.below(parts));
             rank.onInstall(id, part, kNeverUsed);
             naive.install(id, part);
         } else if (kind < 7) {
@@ -223,7 +305,7 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
             naive.evict(id);
         } else if (kind < 9) {
             LineId id = randomPresent();
-            auto part = static_cast<PartId>(rng.below(kParts));
+            auto part = static_cast<PartId>(rng.below(parts));
             rank.onRetag(id, part);
             naive.retag(id, part);
         } else if (naive.lines() < num_lines) {
@@ -237,10 +319,11 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
         }
 
         ASSERT_EQ(rank.auditInvariants(), "") << "op " << op;
-        for (PartId p = 0; p < kParts; ++p) {
-            ASSERT_EQ(rank.partLines(p), naive.partLines(p))
+        NaiveRecency::Answers want = naive.answers(parts);
+        for (PartId p = 0; p < parts; ++p) {
+            ASSERT_EQ(rank.partLines(p), want.partLines[p])
                 << "op " << op << " part " << int{p};
-            ASSERT_EQ(rank.worstIn(p), naive.worstIn(p))
+            ASSERT_EQ(rank.worstIn(p), want.worst[p])
                 << "op " << op << " part " << int{p};
         }
         for (std::size_t i = 0; i < naive.lines(); ++i) {
@@ -250,8 +333,7 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
             // Bit-exact, not approximate: both sides divide the
             // identical integers, and byte-identity of the replay
             // rests on exactly that.
-            ASSERT_EQ(rank.exactFutility(id),
-                      naive.exactFutility(id))
+            ASSERT_EQ(rank.exactFutility(id), want.futility[i])
                 << "op " << op << " line " << id;
         }
     }
@@ -262,7 +344,7 @@ checkAgainstNaive(RecencyRankingBase &rank, LineId num_lines)
 TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
 {
     ExactLruRanking rank(24);
-    checkAgainstNaive(rank, 24);
+    checkAgainstNaive(rank, 24, 3, 6000);
 }
 
 /** Random keeps its exact order on the same base; relocate and retag
@@ -270,7 +352,18 @@ TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
 TEST(RecencyBase, RandomMatchesNaiveReferenceThroughRenumbering)
 {
     RandomRanking rank(24, Rng(5));
-    checkAgainstNaive(rank, 24);
+    checkAgainstNaive(rank, 24, 3, 6000);
+}
+
+/** 300 lines on a 1024-stamp axis: sixteen mark words per partition
+ *  under a word tree, and 32 partitions for the one-pass renumber to
+ *  scatter each compacted line's bit into. */
+TEST(RecencyBase, ManyPartitionsMultiWordAxisMatchNaive)
+{
+    ExactLruRanking lru(300);
+    checkAgainstNaive(lru, 300, 32, 15000);
+    RandomRanking random(300, Rng(6));
+    checkAgainstNaive(random, 300, 32, 15000);
 }
 
 TEST(RecencyBase, SingleLineSurvivesEndlessTouches)

@@ -156,8 +156,14 @@ TEST_P(SimdBackends, ArgmaxMaskedAllTiedPicksFirst)
 TEST_P(SimdBackends, ArgmaxScaledMatchesScalar)
 {
     const simd::Kernels &k = forceBackend(GetParam());
+    // Tied rounds draw values and factors from powers of two whose
+    // products coincide often, so two candidates in the same vector
+    // lane scale to the same value and the first must still win
+    // (random factors almost never tie a product).
+    const double kTieSet[] = {0.25, 0.5, 1.0, 2.0};
     Rng rng(303);
-    for (int round = 0; round < 200; ++round) {
+    for (int round = 0; round < 400; ++round) {
+        bool tied = round % 2 == 1;
         for (std::size_t n : kLengths) {
             Input in = makeInput(rng, n);
             // Factor table smaller than the partition space so the
@@ -165,13 +171,19 @@ TEST_P(SimdBackends, ArgmaxScaledMatchesScalar)
             std::size_t nf = rng.below(6);
             std::vector<double> factors(nf);
             for (double &f : factors)
-                f = 0.25 + rng.uniform() * 4.0;
+                f = tied ? kTieSet[rng.below(4)]
+                         : 0.25 + rng.uniform() * 4.0;
+            for (std::size_t i = 0; tied && i < n; ++i) {
+                if (in.v[i] != -1.0)
+                    in.v[i] = kTieSet[rng.below(3)];
+            }
             EXPECT_EQ(k.argmaxScaled(in.v.data(), in.part.data(),
                                      factors.data(), nf, n),
                       simd::scalar::argmaxScaled(
                           in.v.data(), in.part.data(),
                           factors.data(), nf, n))
-                << GetParam() << " n=" << n << " nf=" << nf;
+                << GetParam() << " n=" << n << " nf=" << nf
+                << " tied=" << tied;
         }
     }
 }
