@@ -11,8 +11,13 @@ which side runs first, each run `--seconds` BENCHMARK.json's
 BENCHMARK.json.
 
 Prints, per workload and `end_to_end` metric, the parent's median, the
-change's median, their ratio and a verdict from the metric's `better`
-and `bound`, then each side's failed/attempted cells. Exits 1 when a
+change's median, their ratio, the pairs the change won (strictly
+better in the metric's `better` direction; ties count for neither
+side), the parent's interquartile range, a gain column and a verdict
+from the metric's `better` and `bound`, then each side's
+failed/attempted cells. The gain column says yes when the change won
+at least 9/10 of the pairs run and the median gap, in the `better`
+direction, exceeds the parent's interquartile range. Exits 1 when a
 metric is worse than its bound allows, when any run exits nonzero,
 reports `correct: false` or prints no result line, or when the change
 fails a larger share of its cells than the parent; 2 on a usage error;
@@ -62,6 +67,29 @@ def worse_than_bound(better, bound, parent, change):
     return change > parent + bound * abs(parent)
 
 
+def gap(better, parent, change):
+    """How far `change` is better than `parent` (negative if worse)."""
+    return change - parent if better == "higher" else parent - change
+
+
+def gain(better, parent_by_pair, change_by_pair):
+    """(wins, pairs, parent IQR or None, gain) of one metric, from the
+    two sides' values pair by pair (None where a run does not count)."""
+    pairs = list(zip(parent_by_pair, change_by_pair))
+    wins = sum(1 for p, c in pairs
+               if p is not None and c is not None and gap(better, p, c) > 0)
+    parent = [p for p in parent_by_pair if p is not None]
+    change = [c for c in change_by_pair if c is not None]
+    if len(parent) < 2:
+        return wins, len(pairs), None, False
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    iqr = q3 - q1
+    won = wins * 10 >= 9 * len(pairs)
+    wide = gap(better, statistics.median(parent),
+               statistics.median(change)) > iqr
+    return wins, len(pairs), iqr, won and wide
+
+
 def compare(end_to_end, workload, parent_runs, change_runs):
     """Compare one workload's runs, each a list of (exit code, stdout).
 
@@ -78,22 +106,30 @@ def compare(end_to_end, workload, parent_runs, change_runs):
             if problem:
                 problems.append(f"{workload}: {side} run {i + 1}: "
                                 f"{problem}")
-            else:
-                sides[side].append(result)
+            # Kept in run order, None where the run does not count,
+            # so parent and change runs stay paired by index.
+            sides[side].append(None if problem else result)
 
     lines = []
     for m in end_to_end:
         name = m["name"]
-        values = {side: [r["metrics"][name]["value"] for r in results
-                         if name in r["metrics"]]
-                  for side, results in sides.items()}
-        if any(len(values[s]) != len(sides[s]) for s in sides):
+        by_pair = {side: [r["metrics"][name]["value"]
+                          if r is not None and name in r["metrics"]
+                          else None for r in results]
+                   for side, results in sides.items()}
+        values = {side: [v for v in vs if v is not None]
+                  for side, vs in by_pair.items()}
+        if any(len(values[s]) != sum(r is not None for r in sides[s])
+               for s in sides):
             problems.append(f"{workload}: {name} missing from a result")
         if not values["parent"] or not values["change"]:
             continue
         parent = statistics.median(values["parent"])
         change = statistics.median(values["change"])
         ratio = f"{change / parent:.3f}" if parent else "n/a"
+        wins, pairs, iqr, gained = gain(m["better"], by_pair["parent"],
+                                        by_pair["change"])
+        iqr_text = "n/a" if iqr is None else f"{iqr:.4g}"
         bad = worse_than_bound(m["better"], m["bound"], parent, change)
         if bad:
             problems.append(f"{workload}: {name} worse than its bound "
@@ -102,7 +138,9 @@ def compare(end_to_end, workload, parent_runs, change_runs):
                             f"change {change:.6g}")
         lines.append(f"{workload:14s} {name:20s} {m['better']:6s} "
                      f"{m['bound']:5.2f} {parent:12.6g} {change:12.6g} "
-                     f"{ratio:>7s}  {'WORSE' if bad else 'ok'}")
+                     f"{ratio:>7s} {f'{wins}/{pairs}':>5s} "
+                     f"{iqr_text:>10s} {'yes' if gained else 'no':>4s}  "
+                     f"{'WORSE' if bad else 'ok'}")
 
     shares = {}
     for side, results in counted.items():
@@ -179,7 +217,8 @@ def main(argv):
     print(f"perf_ab: {rev} (parent) vs working tree (change), "
           f"{PAIRS} pairs, {spec['run_seconds']} s runs, medians")
     print(f"{'workload':14s} {'metric':20s} {'better':6s} {'bound':>5s} "
-          f"{'parent':>12s} {'change':>12s} {'ratio':>7s}  verdict")
+          f"{'parent':>12s} {'change':>12s} {'ratio':>7s} {'wins':>5s} "
+          f"{'parent_iqr':>10s} {'gain':>4s}  verdict")
     print("\n".join(report))
     for p in problems:
         print(f"FAIL {p}")

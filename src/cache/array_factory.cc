@@ -3,7 +3,6 @@
 #include "cache/fully_assoc_array.hh"
 #include "cache/random_cands_array.hh"
 #include "cache/set_assoc_array.hh"
-#include "cache/skew_assoc_array.hh"
 #include "cache/zcache_array.hh"
 #include "common/log.hh"
 #include "common/random.hh"
@@ -18,15 +17,15 @@ parseArrayKind(const std::string &name)
         return ArrayKind::SetAssoc;
     if (name == "direct")
         return ArrayKind::DirectMapped;
-    if (name == "skew")
-        return ArrayKind::SkewAssoc;
     if (name == "zcache")
         return ArrayKind::ZCache;
     if (name == "random")
         return ArrayKind::RandomCands;
     if (name == "fullyassoc")
         return ArrayKind::FullyAssoc;
-    fatal("unknown array kind '%s'", name.c_str());
+    fatal("unknown array kind '%s' "
+          "(want setassoc|direct|zcache|random|fullyassoc)",
+          name.c_str());
 }
 
 std::unique_ptr<CacheArray>
@@ -39,9 +38,6 @@ makeArray(const ArrayConfig &cfg)
       case ArrayKind::DirectMapped:
         return std::make_unique<SetAssocArray>(cfg.numLines, 1,
                                                cfg.hash, cfg.seed);
-      case ArrayKind::SkewAssoc:
-        return std::make_unique<SkewAssocArray>(
-            cfg.numLines, cfg.banks, cfg.skewWays, cfg.seed);
       case ArrayKind::ZCache:
         return std::make_unique<ZCacheArray>(cfg.numLines, cfg.banks,
                                              cfg.walkLevels, cfg.seed);

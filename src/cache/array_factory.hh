@@ -21,7 +21,6 @@ enum class ArrayKind
 {
     SetAssoc,
     DirectMapped,
-    SkewAssoc,
     ZCache,
     RandomCands,
     FullyAssoc,
@@ -41,11 +40,8 @@ struct ArrayConfig
     /** SetAssoc: index hash. */
     HashKind hash = HashKind::XorFold;
 
-    /** SkewAssoc / ZCache: hash banks. */
+    /** ZCache: hash banks. */
     std::uint32_t banks = 4;
-
-    /** SkewAssoc: ways per bank set. */
-    std::uint32_t skewWays = 4;
 
     /** ZCache: walk depth. */
     std::uint32_t walkLevels = 2;

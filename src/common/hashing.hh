@@ -10,7 +10,7 @@
  *  - XorFoldHash: XOR-folds the whole line address onto the index
  *    bits, the "XOR-based indexing" the paper's L2 uses (Table II);
  *  - H3Hash:      a universal H3 matrix hash (random parity masks),
- *    the family recommended for zcache/skew arrays.
+ *    the family recommended for zcache arrays.
  *
  * All hashes map a line address to a bucket in [0, buckets). Buckets
  * need not be a power of two (a multiply-shift range reduction is
@@ -82,7 +82,7 @@ class XorFoldHash : public IndexHash
 /**
  * H3 universal hash: each output bit is the parity of the address
  * ANDed with a random 64-bit mask. Seeded; different seeds give
- * independent family members (used by skew/zcache ways).
+ * independent family members (used by the zcache ways).
  */
 class H3Hash : public IndexHash
 {

@@ -49,15 +49,6 @@ CacheBuilder::directMapped(HashKind hash)
 }
 
 CacheBuilder &
-CacheBuilder::skewAssociative(std::uint32_t banks, std::uint32_t ways)
-{
-    spec_.array.kind = ArrayKind::SkewAssoc;
-    spec_.array.banks = banks;
-    spec_.array.skewWays = ways;
-    return *this;
-}
-
-CacheBuilder &
 CacheBuilder::zcache(std::uint32_t banks, std::uint32_t levels)
 {
     spec_.array.kind = ArrayKind::ZCache;

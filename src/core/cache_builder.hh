@@ -39,8 +39,6 @@ class CacheBuilder
     CacheBuilder &setAssociative(std::uint32_t ways,
                                  HashKind hash = HashKind::XorFold);
     CacheBuilder &directMapped(HashKind hash = HashKind::XorFold);
-    CacheBuilder &skewAssociative(std::uint32_t banks,
-                                  std::uint32_t ways);
     CacheBuilder &zcache(std::uint32_t banks, std::uint32_t levels);
     CacheBuilder &randomCandidates(std::uint32_t candidates);
     CacheBuilder &fullyAssociative();

@@ -8,8 +8,9 @@
  * together with every substrate its evaluation needs: cache array
  * models, futility rankings (LRU / coarse-timestamp LRU / LFU /
  * OPT), baseline schemes (Partitioning-First, Vantage, PriSM, way
- * partitioning), synthetic SPEC-like workloads, allocation
- * policies, and a trace-driven multi-core timing simulator.
+ * partitioning), synthetic SPEC-like workloads, static and QoS
+ * target allocation (the external policy that hands FS its
+ * targets), and a trace-driven multi-core timing simulator.
  *
  * Typical use: configure with CacheBuilder, generate a Workload,
  * run a TimingSim (or the untimed drivers in sim/experiment.hh) and
@@ -26,7 +27,6 @@
 // Allocation policies.
 #include "alloc/qos_alloc.hh"
 #include "alloc/static_alloc.hh"
-#include "alloc/utility_alloc.hh"
 
 // Partitioning schemes (concrete classes for direct configuration;
 // the factories in sim/experiment.hh cover the common paths).

@@ -81,9 +81,8 @@ void driveByInsertionRate(PartitionedCache &cache,
 /**
  * Misses of one benchmark alone in caches of the given sizes
  * (16-way XOR-indexed set-associative, unpartitioned, given
- * ranking). Used to build UCP miss curves and size sweeps. The
- * sizes run as parallel SweepRunner cells (see FS_JOBS); results
- * are independent of the job count.
+ * ranking). The sizes run as parallel SweepRunner cells (see
+ * FS_JOBS); results are independent of the job count.
  */
 std::vector<std::uint64_t>
 measureMissCurve(const std::string &benchmark,

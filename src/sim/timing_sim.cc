@@ -12,7 +12,7 @@ namespace fscache
 TimingSim::TimingSim(PartitionedCache &cache, const Workload &workload,
                      TimingConfig cfg)
     : cache_(cache), workload_(workload), cfg_(cfg),
-      memory_(cfg.memory), nuca_(cfg.nuca),
+      memory_(cfg.memory),
       perf_(workload.threadCount())
 {
     fs_assert(cache.numPartitions() >= workload.threadCount(),
@@ -80,9 +80,7 @@ TimingSim::run()
         AccessOutcome out =
             cache_.access(static_cast<PartId>(t), acc.addr,
                           acc.nextUse);
-        Cycle lookup_done = cfg_.modelNuca
-                                ? nuca_.access(t, acc.addr, now)
-                                : now + cfg_.hitLatency;
+        Cycle lookup_done = now + cfg_.hitLatency;
         Cycle done = out.hit ? lookup_done
                              : memory_.request(lookup_done);
 

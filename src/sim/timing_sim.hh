@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sim/memory_model.hh"
-#include "sim/nuca_model.hh"
 #include "trace/workload.hh"
 
 namespace fscache
@@ -29,13 +28,6 @@ struct TimingConfig
 {
     Cycle hitLatency = 12; ///< L2 access + avg NUCA hop
     MemoryConfig memory;
-
-    /**
-     * Model per-bank contention and per-core hop distances with
-     * NucaModel instead of the flat hitLatency.
-     */
-    bool modelNuca = false;
-    NucaConfig nuca;
 
     /**
      * Fraction of each thread's trace used for warmup; cache stats
@@ -79,7 +71,6 @@ class TimingSim
     { return perf_[thread]; }
 
     const MemoryModel &memory() const { return memory_; }
-    const NucaModel &nuca() const { return nuca_; }
 
     /** Sum of measured-phase IPCs (system throughput metric). */
     double throughput() const;
@@ -89,7 +80,6 @@ class TimingSim
     const Workload &workload_;
     TimingConfig cfg_;
     MemoryModel memory_;
-    NucaModel nuca_;
     std::vector<ThreadPerf> perf_;
 };
 

@@ -14,7 +14,6 @@
 #include "cache/fully_assoc_array.hh"
 #include "cache/random_cands_array.hh"
 #include "cache/set_assoc_array.hh"
-#include "cache/skew_assoc_array.hh"
 #include "cache/tag_store.hh"
 #include "cache/zcache_array.hh"
 #include "common/random.hh"
@@ -197,23 +196,6 @@ TEST(SetAssoc, DirectMappedSingleCandidate)
     EXPECT_EQ(cands.size(), 1u);
 }
 
-TEST(SkewAssoc, CandidatesSpanBanks)
-{
-    SkewAssocArray arr(256, 4, 2, 3);
-    EXPECT_EQ(arr.candidateCount(), 8u);
-    std::vector<LineId> cands;
-    arr.collectCandidates(0xdead, cands);
-    ASSERT_EQ(cands.size(), 8u);
-    // Two candidates per 64-line bank, each pair inside one bank.
-    for (std::uint32_t b = 0; b < 4; ++b) {
-        EXPECT_GE(cands[2 * b], b * 64u);
-        EXPECT_LT(cands[2 * b + 1], (b + 1) * 64u);
-    }
-    // All distinct.
-    std::unordered_set<LineId> uniq(cands.begin(), cands.end());
-    EXPECT_EQ(uniq.size(), cands.size());
-}
-
 TEST(RandomCands, DistinctAndUniform)
 {
     RandomCandsArray arr(1024, 16, Rng(7));
@@ -321,8 +303,8 @@ TEST(ArrayFactory, BuildsEveryKind)
 {
     for (ArrayKind kind :
          {ArrayKind::SetAssoc, ArrayKind::DirectMapped,
-          ArrayKind::SkewAssoc, ArrayKind::ZCache,
-          ArrayKind::RandomCands, ArrayKind::FullyAssoc}) {
+          ArrayKind::ZCache, ArrayKind::RandomCands,
+          ArrayKind::FullyAssoc}) {
         ArrayConfig cfg;
         cfg.kind = kind;
         cfg.numLines = 256;
@@ -333,6 +315,10 @@ TEST(ArrayFactory, BuildsEveryKind)
     }
     EXPECT_EQ(parseArrayKind("zcache"), ArrayKind::ZCache);
     EXPECT_EQ(parseArrayKind("setassoc"), ArrayKind::SetAssoc);
+    // An unknown name fails loudly and lists the accepted kinds.
+    EXPECT_DEATH(parseArrayKind("skew"),
+                 "unknown array kind 'skew' \\(want setassoc[|]direct"
+                 "[|]zcache[|]random[|]fullyassoc\\)");
 }
 
 } // namespace

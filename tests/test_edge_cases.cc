@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/skew_assoc_array.hh"
 #include "common/order_stat_index.hh"
 #include "ranking/coarse_ts_lru_ranking.hh"
 #include "sim/experiment.hh"
@@ -149,15 +148,6 @@ TEST(EdgeCases, CoarseTsWideTimestamps)
     tags.install(0, 1, 0);
     rank.onInstall(0, 0, kNeverUsed);
     EXPECT_LE(rank.schemeFutility(0), 1.0);
-}
-
-TEST(EdgeCases, SkewSingleBankDegeneratesGracefully)
-{
-    SkewAssocArray arr(64, 1, 4, 7);
-    EXPECT_EQ(arr.candidateCount(), 4u);
-    std::vector<LineId> cands;
-    arr.collectCandidates(0x123, cands);
-    EXPECT_EQ(cands.size(), 4u);
 }
 
 TEST(EdgeCases, AnnotateTwiceIsIdempotent)

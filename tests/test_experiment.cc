@@ -21,17 +21,17 @@ namespace
 TEST(BuildCache, WiringMatchesSpec)
 {
     CacheSpec spec;
-    spec.array.kind = ArrayKind::SkewAssoc;
+    spec.array.kind = ArrayKind::ZCache;
     spec.array.numLines = 512;
     spec.array.banks = 4;
-    spec.array.skewWays = 2;
+    spec.array.walkLevels = 2;
     spec.ranking = RankKind::Lfu;
     spec.scheme.kind = SchemeKind::Prism;
     spec.numParts = 3;
     auto cache = buildCache(spec);
     EXPECT_EQ(cache->cacheLines(), 512u);
     EXPECT_EQ(cache->numPartitions(), 3u);
-    EXPECT_EQ(cache->array().name(), "skew-4b-2w");
+    EXPECT_EQ(cache->array().name(), "zcache-4b-2l");
     EXPECT_EQ(cache->ranking().name(), "lfu");
     EXPECT_EQ(cache->scheme().name(), "prism");
 }
@@ -62,8 +62,6 @@ TEST(CacheBuilder, AllArrayShapes)
 {
     EXPECT_EQ(CacheBuilder().lines(256).directMapped().build()
                   ->array().candidateCount(), 1u);
-    EXPECT_EQ(CacheBuilder().lines(256).skewAssociative(4, 2)
-                  .build()->array().candidateCount(), 8u);
     EXPECT_GT(CacheBuilder().lines(256).zcache(4, 2).build()
                   ->array().candidateCount(), 4u);
     EXPECT_EQ(CacheBuilder().lines(256).randomCandidates(8).build()

@@ -43,6 +43,8 @@ def slowed(name, factor):
     return [run({name: factor})] * 10
 
 
+
+
 FAILURES = []
 
 
@@ -59,6 +61,17 @@ def expect_pass(label, problems):
 def expect_fail(label, problems, word):
     check(label, any(word in p for p in problems),
           f"no problem naming {word!r} in {problems}")
+
+
+def expect_gain(label, name, parent_values, change_values, want):
+    """Check the (wins, gain) columns of `name`'s report line for
+    runs with the given per-pair values of `name`."""
+    lines, _ = perf_ab.compare(
+        END_TO_END, "w", [run({name: v}) for v in parent_values],
+        [run({name: v}) for v in change_values])
+    fields = next(l.split() for l in lines if l.split()[1] == name)
+    got = (fields[7], fields[9])
+    check(label, got == want, f"wins/gain {got}, want {want}")
 
 
 def main():
@@ -99,6 +112,25 @@ def main():
                 "failed share")
     expect_pass("an equal failed share passes",
                 verdict(run(failed=1), run(failed=1)))
+
+    tight = [1.0] * 10
+    expect_gain("10/10 wins over a tight parent is a gain",
+                "sim_accesses_per_s", tight, [1.1] * 10, ("10/10", "yes"))
+    expect_gain("a gain follows the lower-is-better direction",
+                "cell_p50_s", tight, [0.9] * 10, ("10/10", "yes"))
+    expect_gain("a worse change wins no pair",
+                "cell_p50_s", tight, [1.1] * 10, ("0/10", "no"))
+    # Ties count for neither side: two equal pairs leave 8/10 wins.
+    expect_gain("8/10 wins is no gain", "sim_accesses_per_s", tight,
+                [1.1] * 8 + [1.0] * 2, ("8/10", "no"))
+    # Parent median 1.0 with quartiles 0.1 and 1.0 (IQR 0.9): a change
+    # at 1.5 wins every pair, but its 0.5 median gap is inside the IQR.
+    expect_gain("a large gap inside a wider parent IQR is no gain",
+                "sim_accesses_per_s", [0.1] * 3 + [1.0] * 7, [1.5] * 10,
+                ("10/10", "no"))
+    wins = perf_ab.gain("higher", tight, [1.1] * 9 + [None])[0]
+    check("a change run that does not count wins no pair", wins == 9,
+          wins)
 
     metrics_missing = run()
     data = json.loads(metrics_missing[1].splitlines()[-1])

@@ -102,9 +102,6 @@ comboName(const ::testing::TestParamInfo<Combo> &info)
       case ArrayKind::DirectMapped:
         name += "_direct";
         break;
-      case ArrayKind::SkewAssoc:
-        name += "_skew";
-        break;
       case ArrayKind::ZCache:
         name += "_zcache";
         break;
@@ -147,9 +144,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(SchemeKind::None, SchemeKind::PF,
                           SchemeKind::Fs, SchemeKind::FsAnalytic,
                           SchemeKind::Vantage, SchemeKind::Prism),
-        ::testing::Values(ArrayKind::SetAssoc, ArrayKind::SkewAssoc,
-                          ArrayKind::ZCache, ArrayKind::RandomCands,
-                          ArrayKind::FullyAssoc),
+        ::testing::Values(ArrayKind::SetAssoc, ArrayKind::ZCache,
+                          ArrayKind::RandomCands, ArrayKind::FullyAssoc),
         ::testing::Values(RankKind::ExactLru, RankKind::CoarseTsLru,
                           RankKind::Lfu)),
     comboName);

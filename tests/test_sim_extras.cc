@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the simulation extensions: banked NUCA model and the
- * RRIP futility ranking.
+ * Tests for the RRIP futility ranking, alone and under FS.
  */
 
 #include <gtest/gtest.h>
@@ -10,81 +9,11 @@
 
 #include "ranking/rrip_ranking.hh"
 #include "sim/experiment.hh"
-#include "sim/nuca_model.hh"
-#include "sim/timing_sim.hh"
 
 namespace fscache
 {
 namespace
 {
-
-TEST(Nuca, BankMappingStable)
-{
-    NucaModel nuca;
-    for (Addr a : {0ull, 5ull, 0xdeadull}) {
-        std::uint32_t b = nuca.bankOf(a);
-        EXPECT_EQ(nuca.bankOf(a), b);
-        EXPECT_LT(b, 4u);
-    }
-}
-
-TEST(Nuca, ZeroHopLocalAccess)
-{
-    NucaConfig cfg;
-    cfg.hopLatency = 2;
-    cfg.bankLatency = 8;
-    NucaModel nuca(cfg);
-    // Find an address on bank 0 and access from core 0 (slot 0).
-    Addr a = 0;
-    while (nuca.bankOf(a) != 0)
-        ++a;
-    EXPECT_EQ(nuca.access(0, a, 100), 108u);
-}
-
-TEST(Nuca, HopsAddLatencyBothWays)
-{
-    NucaConfig cfg;
-    cfg.hopLatency = 3;
-    cfg.bankLatency = 8;
-    NucaModel nuca(cfg);
-    Addr a = 0;
-    while (nuca.bankOf(a) != 3)
-        ++a;
-    // Core slot 0 -> bank 3: 3 hops each direction.
-    EXPECT_EQ(nuca.access(0, a, 0), 0u + 3 * 3 + 8 + 3 * 3);
-}
-
-TEST(Nuca, BankContentionQueues)
-{
-    NucaConfig cfg;
-    cfg.bankServiceCycles = 4;
-    NucaModel nuca(cfg);
-    Addr a = 0;
-    while (nuca.bankOf(a) != 0)
-        ++a;
-    Cycle first = nuca.access(0, a, 0);
-    Cycle second = nuca.access(0, a, 0); // same bank, same time
-    EXPECT_EQ(second, first + 4);
-    EXPECT_GT(nuca.avgBankQueueing(), 0.0);
-}
-
-TEST(Nuca, TimingSimIntegration)
-{
-    CacheSpec spec;
-    spec.array.numLines = 4096;
-    spec.array.ways = 16;
-    spec.scheme.kind = SchemeKind::None;
-    spec.numParts = 1;
-    auto cache = buildCache(spec);
-    Workload wl = Workload::duplicate("h264ref", 1, 20000, 3);
-
-    TimingConfig cfg;
-    cfg.modelNuca = true;
-    TimingSim sim(*cache, wl, cfg);
-    sim.run();
-    EXPECT_GT(sim.perf(0).ipc(), 0.0);
-    EXPECT_GT(sim.nuca().accesses(), 0u);
-}
 
 TEST(Rrip, InsertionIsLongNotDistant)
 {

@@ -268,7 +268,7 @@ main(int argc, char **argv)
                    "partitioning scheme: none|pf|fs-analytic|fs|"
                    "vantage|prism|waypart");
     args.addString("array", "setassoc",
-                   "array: setassoc|direct|skew|zcache|random|"
+                   "array: setassoc|direct|zcache|random|"
                    "fullyassoc");
     args.addString("ranking", "coarse",
                    "futility ranking: lru|coarse|lfu|opt|random|"
@@ -294,7 +294,6 @@ main(int argc, char **argv)
     args.addDouble("warmup", 0.2, "warmup fraction");
     args.addInt("seed", 1, "master seed");
     args.addFlag("untimed", "skip the timing model (faster)");
-    args.addFlag("nuca", "model banked-NUCA contention");
     args.addFlag("json", "machine-readable JSON output");
     args.addString("fs-compact-journal", "",
                    "maintenance: compact the checkpoint journal at "
@@ -367,7 +366,6 @@ main(int argc, char **argv)
 
     double warmup = args.getDouble("warmup");
     bool untimed = args.getFlag("untimed");
-    bool nuca = args.getFlag("nuca");
     std::string targets = args.getString("targets");
 
     // Everything that changes a cell's numbers goes into the
@@ -376,8 +374,7 @@ main(int argc, char **argv)
     std::string config_key = strprintf(
         "fscache_sim;scheme=%s;array=%s;ranking=%s;hash=%s;"
         "lines=%s;ways=%lld;cands=%lld;threads=%s;traces=%s;"
-        "targets=%s;accesses=%llu;warmup=%g;seed=%lld;untimed=%d;"
-        "nuca=%d",
+        "targets=%s;accesses=%llu;warmup=%g;seed=%lld;untimed=%d",
         args.getString("scheme").c_str(),
         args.getString("array").c_str(),
         args.getString("ranking").c_str(),
@@ -389,7 +386,7 @@ main(int argc, char **argv)
         targets.c_str(),
         static_cast<unsigned long long>(accesses), warmup,
         static_cast<long long>(args.getInt("seed")),
-        untimed ? 1 : 0, nuca ? 1 : 0);
+        untimed ? 1 : 0);
 
     // Run: one cell per cache size, each with a private cache (all
     // randomness re-seeded from --seed) driving the shared traces.
@@ -415,7 +412,6 @@ main(int argc, char **argv)
             } else {
                 TimingConfig cfg;
                 cfg.warmupFraction = warmup;
-                cfg.modelNuca = nuca;
                 sim = std::make_unique<TimingSim>(*cache, wl, cfg);
                 sim->run();
             }
